@@ -24,6 +24,7 @@ from .bruhat import (
     enumerate_chains,
     generating_multiset,
     greedy_chain,
+    interval_covers,
     interval_elements,
     is_greedy,
     multiset_dominates,
@@ -32,22 +33,17 @@ from .bruhat import (
 from .poly import (
     SparsePolynomial,
     chain_weight,
-    coeff_one_exponents,
     dual_schubert,
     dual_schubert_table,
     global_weight,
     postnikov_stanley_chainsum,
     postnikov_stanley_dp,
     segment_poly,
-    support,
 )
 from .polytope import (
     GeneralizedPermutahedron,
-    gp_contains,
     gp_from_inversions,
     gp_from_segment,
-    gp_integer_points,
-    gp_minkowski_sum,
     hull_contains,
     hull_vertices,
     is_m_convex,

@@ -74,9 +74,52 @@ class SaturatedChain:
         }
 
 
+def _require_below(u: Perm, w: Perm) -> tuple[Perm, Perm]:
+    """The validated pair; ValueError unless u <= w in Bruhat order."""
+    u, w = validate(u), validate(w)
+    if not bruhat_leq(u, w):
+        raise ValueError(
+            f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
+        )
+    return u, w
+
+
 def trivial_chain(u: Perm) -> SaturatedChain:
     """The length-0 chain from u to itself."""
     return SaturatedChain((validate(u),), ())
+
+
+def interval_covers(
+    u: Perm, w: Perm
+) -> dict[Perm, list[tuple[Perm, PositionPair]]]:
+    """Each v in [u, w] with its labelled down-covers that stay in [u, w].
+
+    One downward walk from w.  Every element of [u, w] is reached from w by
+    covers that stay above u, and whatever the walk meets is below w, so
+    each candidate is compared with u once.  Empty when u is not below w.
+
+    >>> interval_covers((2, 1, 3), (2, 3, 1))
+    {(2, 3, 1): [((2, 1, 3), (2, 3))], (2, 1, 3): []}
+    """
+    u, w = validate(u), validate(w)
+    if not bruhat_leq(u, w):
+        return {}
+    above_u = {w: True}
+    covers: dict[Perm, list[tuple[Perm, PositionPair]]] = {}
+    queue = deque([w])
+    while queue:
+        v = queue.popleft()
+        inside = []
+        for v2, lab in down_covers(v):
+            ok = above_u.get(v2)
+            if ok is None:
+                ok = above_u[v2] = bruhat_leq(u, v2)
+                if ok:
+                    queue.append(v2)
+            if ok:
+                inside.append((v2, lab))
+        covers[v] = inside
+    return covers
 
 
 def interval_elements(u: Perm, w: Perm) -> frozenset[Perm]:
@@ -85,21 +128,24 @@ def interval_elements(u: Perm, w: Perm) -> frozenset[Perm]:
     >>> sorted(interval_elements((2, 1, 3), (3, 2, 1)))
     [(2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    u, w = validate(u), validate(w)
-    if len(u) != len(w):
-        raise ValueError(f"rank mismatch: {len(u)} vs {len(w)}")
-    if not bruhat_leq(u, w):
-        return frozenset()
-    # downward BFS from w, keeping only elements above u
-    seen = {w}
-    queue = deque([w])
-    while queue:
-        v = queue.popleft()
-        for v2, _ in down_covers(v):
-            if v2 not in seen and bruhat_leq(u, v2):
-                seen.add(v2)
-                queue.append(v2)
-    return frozenset(seen)
+    return frozenset(interval_covers(u, w))
+
+
+def _interval_fold(u: Perm, w: Perm, one, step) -> dict:
+    """Cover-split fold over [u, w]: split each chain at its last cover.
+
+    Runs in increasing length order: table[u] = one, and for every other v
+    in the interval, table[v] = step(v, [(table[v2], label) for each cover
+    v2 < v in [u, w]]).  Callers check u <= w first.
+    """
+    # Private so that tracers wrapping the public API book each step's work
+    # to the calling layer, not to this one.
+    covers = interval_covers(u, w)
+    table = {u: one}
+    for v in sorted(covers, key=lambda p: (length(p), p)):
+        if v != u:
+            table[v] = step(v, [(table[v2], lab) for v2, lab in covers[v]])
+    return table
 
 
 def enumerate_chains(u: Perm, w: Perm) -> Iterator[SaturatedChain]:
@@ -109,8 +155,6 @@ def enumerate_chains(u: Perm, w: Perm) -> Iterator[SaturatedChain]:
     ordered by the label word.  An incomparable pair yields an empty stream.
     """
     u, w = validate(u), validate(w)
-    if len(u) != len(w):
-        raise ValueError(f"rank mismatch: {len(u)} vs {len(w)}")
     if not bruhat_leq(u, w):
         return
     steps = length(w) - length(u)
@@ -129,11 +173,6 @@ def enumerate_chains(u: Perm, w: Perm) -> Iterator[SaturatedChain]:
     yield from walk(u, (u,), ())
 
 
-def _cocover_labels_above(v: Perm, u: Perm) -> list[PositionPair]:
-    """Labels (a, b) of covers v t_ab < v that stay weakly above u."""
-    return [lab for v2, lab in down_covers(v) if bruhat_leq(u, v2)]
-
-
 def greedy_chain(u: Perm, w: Perm) -> SaturatedChain:
     """The greedy saturated chain from u to w, built from the top down.
 
@@ -145,18 +184,12 @@ def greedy_chain(u: Perm, w: Perm) -> SaturatedChain:
     >>> greedy_chain((1, 2, 3), (3, 2, 1)).render()
     '123 <(2,3) 132 <(1,3) 231 <(1,2) 321'
     """
-    u, w = validate(u), validate(w)
-    if len(u) != len(w):
-        raise ValueError(f"rank mismatch: {len(u)} vs {len(w)}")
-    if not bruhat_leq(u, w):
-        raise ValueError(
-            f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
-        )
+    u, w = _require_below(u, w)
     rev_nodes = [w]
     rev_labels: list[PositionPair] = []
     v = w
     while v != u:
-        avail = _cocover_labels_above(v, u)
+        avail = [lab for v2, lab in down_covers(v) if bruhat_leq(u, v2)]
         best: PositionPair | None = None
         for a, b in avail:
             extendable = any(

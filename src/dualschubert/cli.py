@@ -311,7 +311,10 @@ def _cmd_verify(args) -> int:
     }
     resume = None
     if args.resume is not None:
-        resume = json.loads(Path(args.resume).read_text())
+        try:
+            resume = json.loads(Path(args.resume).read_text())
+        except OSError as exc:
+            raise ValueError(f"cannot read resume file: {exc}") from exc
 
     def progress(done: int, total: int, key: str) -> None:
         print(f"progress: {done}/{total} units (finished {key})", file=sys.stderr)

@@ -13,7 +13,9 @@ the segment polynomial x_a + x_{a+1} + ... + x_{b-1}; the global weight of a
 permutation takes that product over its inversion set instead.  Averaging
 chain weights over all saturated chains of [u, w] (dividing by r! where r is
 the number of steps) gives the interval's weight polynomial; the same value
-is computed much faster by a cover-split dynamic program over the interval.
+is computed much faster by one fold over the interval that splits each chain
+at its last cover (`bruhat._interval_fold`); `postnikov_stanley_dp` and
+`dual_schubert_table` share its coefficient step.
 """
 
 from __future__ import annotations
@@ -26,13 +28,10 @@ from . import bruhat
 from .perm import (
     Perm,
     PositionPair,
-    all_perms,
-    bruhat_leq,
-    down_covers,
-    format_perm,
     identity,
     inversions,
     length,
+    longest_element,
     validate,
 )
 from .bruhat import SaturatedChain
@@ -262,16 +261,25 @@ def postnikov_stanley_chainsum(u: Perm, w: Perm) -> SparsePolynomial:
     r = length(w) - length(u).  Exponential in r; intended as the oracle
     the dynamic program is checked against.
     """
-    u, w = validate(u), validate(w)
-    if not bruhat_leq(u, w):
-        raise ValueError(
-            f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
-        )
+    u, w = bruhat._require_below(u, w)
     nvars = len(w) - 1
     total = SparsePolynomial.zero(nvars)
     for chain in bruhat.enumerate_chains(u, w):
         total = total + chain_weight(chain)
     return total * Fraction(1, factorial(length(w) - length(u)))
+
+
+def _coefficient_table(u: Perm, w: Perm) -> dict[Perm, SparsePolynomial]:
+    """The interval weight polynomial of [u, v] for every v in [u, w]."""
+    nvars, base = len(w) - 1, length(u)
+
+    def step(v: Perm, below) -> SparsePolynomial:
+        acc = SparsePolynomial.zero(nvars)
+        for prev, lab in below:
+            acc = acc + prev * segment_poly(lab, nvars)
+        return acc * Fraction(1, length(v) - base)
+
+    return bruhat._interval_fold(u, w, SparsePolynomial.one(nvars), step)
 
 
 def postnikov_stanley_dp(u: Perm, w: Perm) -> SparsePolynomial:
@@ -284,24 +292,8 @@ def postnikov_stanley_dp(u: Perm, w: Perm) -> SparsePolynomial:
 
     with D(u) = 1.  Runs over the interval in increasing length order.
     """
-    u, w = validate(u), validate(w)
-    if not bruhat_leq(u, w):
-        raise ValueError(
-            f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
-        )
-    nvars = len(w) - 1
-    interval = bruhat.interval_elements(u, w)
-    base = length(u)
-    table: dict[Perm, SparsePolynomial] = {u: SparsePolynomial.one(nvars)}
-    for v in sorted(interval, key=lambda p: (length(p), p)):
-        if v == u:
-            continue
-        acc = SparsePolynomial.zero(nvars)
-        for v2, lab in down_covers(v):
-            if v2 in interval:
-                acc = acc + table[v2] * segment_poly(lab, nvars)
-        table[v] = acc * Fraction(1, length(v) - base)
-    return table[w]
+    u, w = bruhat._require_below(u, w)
+    return _coefficient_table(u, w)[w]
 
 
 def dual_schubert(w: Perm) -> SparsePolynomial:
@@ -315,31 +307,9 @@ def dual_schubert(w: Perm) -> SparsePolynomial:
 
 
 def dual_schubert_table(n: int) -> dict[Perm, SparsePolynomial]:
-    """All rank-n dual Schubert polynomials in one sweep over the group.
+    """All rank-n dual Schubert polynomials: the DP over [identity, w0].
 
     One pass in increasing length order costs what a single call for the
     longest element would, so exhaustive rank sweeps use this.
     """
-    nvars = n - 1
-    table: dict[Perm, SparsePolynomial] = {identity(n): SparsePolynomial.one(nvars)}
-    for v in sorted(all_perms(n), key=lambda p: (length(p), p)):
-        if v in table:
-            continue
-        acc = SparsePolynomial.zero(nvars)
-        for v2, lab in down_covers(v):
-            acc = acc + table[v2] * segment_poly(lab, nvars)
-        table[v] = acc * Fraction(1, length(v))
-    return table
-
-
-# -- free-function aliases ----------------------------------------------------
-
-
-def support(f: SparsePolynomial) -> frozenset[ExponentVector]:
-    """Exponent vectors with nonzero coefficient."""
-    return f.support()
-
-
-def coeff_one_exponents(f: SparsePolynomial) -> frozenset[ExponentVector]:
-    """Exponent vectors whose coefficient is exactly 1."""
-    return f.coeff_one_exponents()
+    return _coefficient_table(identity(n), longest_element(n))

@@ -161,6 +161,15 @@ def hull_vertices(points: Iterable[tuple]) -> frozenset[tuple]:
 # -- supports and their polytopes ---------------------------------------------
 
 
+def _msum_segment(pts: Iterable[LatticePoint], a: int, b: int) -> frozenset:
+    """Minkowski-add the segment {e_a, ..., e_{b-1}} to a point set."""
+    out = set()
+    for p in pts:
+        for i in range(a - 1, b - 1):
+            out.add(p[:i] + (p[i] + 1,) + p[i + 1 :])
+    return frozenset(out)
+
+
 def minkowski_support(w: Perm) -> frozenset[LatticePoint]:
     """Minkowski sum, over the inversions (a, b) of w, of {e_a, ..., e_{b-1}}.
 
@@ -170,15 +179,10 @@ def minkowski_support(w: Perm) -> frozenset[LatticePoint]:
     [(1, 2), (2, 1)]
     """
     w = validate(w)
-    nvars = len(w) - 1
-    pts: set[LatticePoint] = {(0,) * nvars}
+    pts: frozenset[LatticePoint] = frozenset({(0,) * (len(w) - 1)})
     for a, b in sorted(inversions(w)):
-        pts = {
-            p[: i - 1] + (p[i - 1] + 1,) + p[i:]
-            for p in pts
-            for i in range(a, b)
-        }
-    return frozenset(pts)
+        pts = _msum_segment(pts, a, b)
+    return pts
 
 
 def segment_rank(seg: PositionPair, subset: Iterable[int]) -> int:
@@ -354,27 +358,6 @@ def gp_from_inversions(w: Perm) -> GeneralizedPermutahedron:
             s = frozenset(c)
             z[s] = sum(1 for cell in cells if cell <= s)
     return GeneralizedPermutahedron(nvars, z)
-
-
-def gp_minkowski_sum(
-    gps: Iterable[GeneralizedPermutahedron],
-) -> GeneralizedPermutahedron:
-    """Minkowski sum: support numbers add pointwise."""
-    gps = list(gps)
-    if not gps:
-        raise ValueError("need at least one summand")
-    out = gps[0]
-    for g in gps[1:]:
-        out = out + g
-    return out
-
-
-def gp_contains(p: GeneralizedPermutahedron, t: Sequence) -> bool:
-    return p.contains(t)
-
-
-def gp_integer_points(p: GeneralizedPermutahedron) -> frozenset[LatticePoint]:
-    return p.integer_points()
 
 
 # -- SNP and M-convexity ------------------------------------------------------

@@ -9,10 +9,11 @@ dominant), then falls back to a depth-first search over chains that memoizes
 (node, accumulated support) states and prunes any partial chain whose
 support sticks out of the target's coordinatewise shadow.
 
-Supports are computed by a Minkowski-union dynamic program over the
-interval: the support of a cover step is the segment {e_a, ..., e_{b-1}},
-and unions over last covers replace the rational coefficient arithmetic.
-Tests pin this against the coefficient-level dynamic program.
+Supports are computed by the same cover-split fold over the interval as the
+coefficients (`bruhat._interval_fold`), with a union step: the support of a
+cover step is the segment {e_a, ..., e_{b-1}}, and unions over last covers
+replace the rational coefficient arithmetic.  Tests pin this against the
+coefficient-level dynamic program.
 
 The rank sweeps (`verify_ps_mconvex`, `verify_scnp_pattern`,
 `verify_theorems`) walk the whole symmetric group, support budget-bounded
@@ -24,30 +25,32 @@ order, so reports are deterministic regardless of worker scheduling.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
-from . import bruhat, polytope
+from . import bruhat
 from .bruhat import SaturatedChain, greedy_chain, is_greedy, trivial_chain
 from .perm import (
     Perm,
     all_perms,
     bruhat_leq,
     contains_pattern,
-    down_covers,
     format_perm,
     identity,
     length,
+    longest_element,
     parse_perm,
     up_covers,
     validate,
 )
 from .poly import chain_weight, dual_schubert_table, global_weight
 from .polytope import (
+    _msum_segment,
     gp_from_inversions,
     hull_vertices,
     is_snp,
@@ -122,20 +125,12 @@ class ConjectureReport:
 # -- support dynamic programs -------------------------------------------------
 
 
-def _msum_segment(pts: Iterable[tuple[int, ...]], a: int, b: int) -> frozenset:
-    """Minkowski-add the segment {e_a, ..., e_{b-1}} to a point set."""
-    out = set()
-    for p in pts:
-        for i in range(a - 1, b - 1):
-            out.add(p[:i] + (p[i] + 1,) + p[i + 1 :])
-    return frozenset(out)
-
-
-def _chain_support(chain: SaturatedChain) -> frozenset:
-    pts: frozenset = frozenset({(0,) * (len(chain.start) - 1)})
-    for a, b in chain.labels:
-        pts = _msum_segment(pts, a, b)
-    return pts
+def _union_step(v: Perm, below) -> frozenset:
+    """The fold step of the support DP: union over last covers."""
+    acc: set = set()
+    for prev, (a, b) in below:
+        acc |= _msum_segment(prev, a, b)
+    return frozenset(acc)
 
 
 def ps_support(u: Perm, w: Perm) -> frozenset:
@@ -145,38 +140,16 @@ def ps_support(u: Perm, w: Perm) -> frozenset:
         raise ValueError(
             f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
         )
-    interval = bruhat.interval_elements(u, w)
-    table: dict[Perm, frozenset] = {u: frozenset({(0,) * (len(u) - 1)})}
-    for v in sorted(interval, key=lambda p: (length(p), p)):
-        if v == u:
-            continue
-        acc: set = set()
-        for v2, (a, b) in down_covers(v):
-            if v2 in interval:
-                acc |= _msum_segment(table[v2], a, b)
-        table[v] = frozenset(acc)
-    return table[w]
+    origin = frozenset({(0,) * (len(u) - 1)})
+    return bruhat._interval_fold(u, w, origin, _union_step)[w]
 
 
 def support_table_above(u: Perm) -> dict[Perm, frozenset]:
     """ps_support(u, v) for every v above u in its symmetric group."""
     u = validate(u)
     n = len(u)
-    elems = sorted(
-        (v for v in all_perms(n) if bruhat_leq(u, v)),
-        key=lambda p: (length(p), p),
-    )
-    table: dict[Perm, frozenset] = {u: frozenset({(0,) * (n - 1)})}
-    for v in elems:
-        if v == u:
-            continue
-        acc: set = set()
-        for v2, (a, b) in down_covers(v):
-            prev = table.get(v2)
-            if prev is not None:
-                acc |= _msum_segment(prev, a, b)
-        table[v] = frozenset(acc)
-    return table
+    origin = frozenset({(0,) * (n - 1)})
+    return bruhat._interval_fold(u, longest_element(n), origin, _union_step)
 
 
 # -- the single-chain decision -------------------------------------------------
@@ -228,7 +201,10 @@ def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
     if u == w:
         return ScnpVerdict(True, trivial_chain(u), 1)
     g = greedy_chain(u, w)
-    if _chain_support(g) == target:
+    supp = frozenset({(0,) * (len(u) - 1)})
+    for a, b in g.labels:
+        supp = _msum_segment(supp, a, b)
+    if supp == target:
         return ScnpVerdict(True, g, 1)
     return _scnp_search(u, w, target, examined=1)
 
@@ -241,12 +217,6 @@ def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
     complete chains whose support was compared against the target.
     """
     u, w = validate(u), validate(w)
-    if len(u) != len(w):
-        raise ValueError(f"rank mismatch: {len(u)} vs {len(w)}")
-    if not bruhat_leq(u, w):
-        raise ValueError(
-            f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
-        )
     return _scnp_decide(u, w, ps_support(u, w))
 
 
@@ -323,7 +293,41 @@ def _run_unit(mode: str, n: int, key: str) -> dict:
 
 
 def _write_checkpoint(path, token: dict) -> None:
-    Path(path).write_text(json.dumps(token))
+    """Replace the checkpoint atomically; a crash keeps the previous one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(token))
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ValueError(f"cannot write checkpoint {path}: {exc}") from exc
+
+
+def _check_token(token) -> None:
+    """Raise ValueError unless token has the shape `_run_sweep` writes."""
+    done = token.get("done") if isinstance(token, dict) else None
+    if not (
+        isinstance(done, dict)
+        and {"mode", "n"} <= token.keys()
+        and isinstance(token.get("elapsed", 0.0), (int, float))
+        and all(
+            isinstance(r, dict)
+            and isinstance(r.get("pairs"), int)
+            and isinstance(r.get("fails"), list)
+            for r in done.values()
+        )
+    ):
+        raise ValueError(
+            "malformed resume token: expected mode, n and done,"
+            " with pairs and fails in every record"
+        )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_sweep(
@@ -338,14 +342,19 @@ def _run_sweep(
 ) -> tuple[dict[str, dict], bool, float]:
     """Run units, honoring resume state and the wall-clock budget.
 
-    Returns (unit results by key, complete flag, cumulative elapsed).
+    Uses at most min(jobs, pending units, usable CPUs) worker processes,
+    and none when that is 1.  Returns (unit results by key, complete flag,
+    cumulative elapsed).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     done: dict[str, dict] = {}
     prior = 0.0
     if resume is not None:
-        if resume.get("mode") != mode or resume.get("n") != n:
+        _check_token(resume)
+        if resume["mode"] != mode or resume["n"] != n:
             raise ValueError("resume token does not match this sweep")
-        done = dict(resume.get("done", {}))
+        done = dict(resume["done"])
         prior = float(resume.get("elapsed", 0.0))
     pending = [k for k in keys if k not in done]
     start = time.monotonic()
@@ -362,8 +371,11 @@ def _run_sweep(
             "done": done,
         }
 
+    if checkpoint_path is not None:
+        _write_checkpoint(checkpoint_path, token())
+    workers = min(jobs, len(pending), _usable_cpus())
     complete = True
-    if jobs <= 1:
+    if workers <= 1:
         for key in pending:
             if budget is not None and time.monotonic() - start > budget:
                 complete = False
@@ -373,7 +385,7 @@ def _run_sweep(
                 _write_checkpoint(checkpoint_path, token())
             note(key)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_unit, mode, n, k): k for k in pending}
             remaining = set(futures)
             while remaining:

@@ -15,6 +15,7 @@ from dualschubert import (
     generating_multiset,
     greedy_chain,
     identity,
+    interval_covers,
     interval_elements,
     inversions,
     is_greedy,
@@ -24,7 +25,12 @@ from dualschubert import (
     trivial_chain,
 )
 
-from oracles import chain_count_bruteforce, dominates_bruteforce
+from oracles import (
+    bruhat_leq_bruteforce,
+    chain_count_bruteforce,
+    covers_bruteforce,
+    dominates_bruteforce,
+)
 
 
 def comparable_pairs(n):
@@ -89,6 +95,28 @@ def test_interval_elements_matches_order_s4():
             v for v in perms if bruhat_leq(u, v) and bruhat_leq(v, w)
         }
         assert interval_elements(u, w) == frozenset(expected)
+
+
+def test_interval_covers_matches_oracles_s4():
+    perms = list(all_perms(4))
+    for u in perms:
+        for w in perms:
+            if not bruhat_leq_bruteforce(u, w):
+                assert interval_covers(u, w) == {}
+                continue
+            inside = {
+                v for v in perms
+                if bruhat_leq_bruteforce(u, v) and bruhat_leq_bruteforce(v, w)
+            }
+            expected = {
+                v: sorted(
+                    (x, lab) for x in inside
+                    for lab, y in covers_bruteforce(x) if y == v
+                )
+                for v in inside
+            }
+            got = interval_covers(u, w)
+            assert {v: sorted(c) for v, c in got.items()} == expected
 
 
 def test_enumerate_chains_s3_fixture():

@@ -224,6 +224,56 @@ def test_verify_resume_mode_mismatch(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "token",
+    [
+        [],
+        {"mode": "ps-mconvex", "n": 3, "done": {"123": {"pairs": 6}}},
+    ],
+    ids=["json-list", "record-without-fails"],
+)
+def test_verify_malformed_resume_is_usage_error(capsys, tmp_path, token):
+    ckpt = tmp_path / "sweep.json"
+    ckpt.write_text(json.dumps(token))
+    rc, _, err = run(
+        capsys,
+        "verify", "--mode", "ps-mconvex", "--n", "3", "--resume", str(ckpt),
+    )
+    assert rc == 2
+    assert err.startswith("error: malformed resume token")
+
+
+def test_verify_missing_resume_file_is_usage_error(capsys, tmp_path):
+    rc, _, err = run(
+        capsys,
+        "verify", "--mode", "ps-mconvex", "--n", "3",
+        "--resume", str(tmp_path / "missing.json"),
+    )
+    assert rc == 2
+    assert err.startswith("error: cannot read resume file")
+
+
+def test_verify_checkpoint_in_missing_directory_is_usage_error(capsys, tmp_path):
+    rc, _, err = run(
+        capsys,
+        "verify", "--mode", "ps-mconvex", "--n", "3",
+        "--checkpoint", str(tmp_path / "missing" / "sweep.json"),
+    )
+    assert rc == 2
+    assert err.startswith("error: cannot write checkpoint")
+    assert "progress:" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    rc, out, err = run(
+        capsys, "verify", "--mode", "ps-mconvex", "--n", "3", "--jobs", jobs,
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: jobs must be at least 1")
+
+
 def test_malformed_permutation_is_usage_error(capsys):
     rc, _, err = run(capsys, "dual-schubert", "999")
     assert rc == 2

@@ -22,6 +22,7 @@ from dualschubert import (
     verify_scnp_pattern,
     verify_theorems,
 )
+from dualschubert import scnp
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
 
 
@@ -176,6 +177,31 @@ def test_parallel_sweep_matches_serial():
     assert parallel.checked_pairs == serial.checked_pairs
     assert parallel.scnp_failures == serial.scnp_failures
     assert parallel.counterexamples == serial.counterexamples
+
+
+def test_single_usable_cpu_runs_serially(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(scnp, "ProcessPoolExecutor", no_pool)
+    report = verify_scnp_pattern(4, jobs=2)
+    assert report.ok() and report.scnp_failures == [("1324", "4231")]
+
+
+def test_failed_checkpoint_write_keeps_previous_checkpoint(monkeypatch, tmp_path):
+    path = tmp_path / "sweep.json"
+    old = {"mode": "ps-mconvex", "n": 3, "elapsed": 1.0, "done": {}}
+    scnp._write_checkpoint(path, old)
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(scnp.os, "replace", crash)
+    with pytest.raises(ValueError, match="cannot write checkpoint"):
+        scnp._write_checkpoint(path, dict(old, elapsed=2.0))
+    assert json.loads(path.read_text()) == old
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
 
 
 def test_progress_callback_sees_every_unit():
