@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bruhat
+from . import bruhat, scnp
 from .bruhat import enumerate_chains, greedy_chain
 from .perm import Perm, format_perm, identity, length, parse_perm
 from .poly import (
@@ -33,7 +33,7 @@ from .polytope import (
     m_convex_failure,
     newton_vertices_coeff1,
 )
-from .scnp import is_scnp, verify_ps_mconvex, verify_scnp_pattern, verify_theorems
+from .scnp import is_scnp
 from .tiling import (
     build_diagram,
     render_diagram,
@@ -304,10 +304,11 @@ def _cmd_check_scnp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # built per call, so that patches of these names take effect
     runners = {
-        "ps-mconvex": verify_ps_mconvex,
-        "scnp-pattern": verify_scnp_pattern,
-        "paper-theorems": verify_theorems,
+        "ps-mconvex": scnp.verify_ps_mconvex,
+        "scnp-pattern": scnp.verify_scnp_pattern,
+        "paper-theorems": scnp.verify_theorems,
     }
     resume = None
     if args.resume is not None:
@@ -411,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("w")
 
     p = add("verify", _cmd_verify, "exhaustive rank sweeps")
-    p.add_argument("--mode", required=True,
-                   choices=["ps-mconvex", "scnp-pattern", "paper-theorems"])
+    p.add_argument("--mode", required=True, choices=list(scnp.SWEEPS))
     p.add_argument("--n", required=True, type=int, help="rank to sweep")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--budget", type=float, default=None,

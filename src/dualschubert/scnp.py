@@ -15,21 +15,27 @@ cover step is the segment {e_a, ..., e_{b-1}}, and unions over last covers
 replace the rational coefficient arithmetic.  Tests pin this against the
 coefficient-level dynamic program.
 
-The rank sweeps (`verify_ps_mconvex`, `verify_scnp_pattern`,
-`verify_theorems`) walk the whole symmetric group, support budget-bounded
-partial runs with resumable checkpoints (one unit = one base permutation),
-and can fan units out over a process pool.  Results are merged in a fixed
-order, so reports are deterministic regardless of worker scheduling.
+The rank sweeps walk the whole symmetric group.  `SWEEPS` maps each mode
+to a unit (one base permutation) and a merge; `verify_ps_mconvex`,
+`verify_scnp_pattern` and `verify_theorems` run one mode each, through one
+sweep body.  It supports budget-bounded partial runs with resumable
+checkpoints and can fan units out over worker processes.  Results are merged
+in a fixed order, so reports are deterministic regardless of worker
+scheduling.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+import traceback
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable
 
@@ -220,7 +226,7 @@ def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
     return _scnp_decide(u, w, ps_support(u, w))
 
 
-# -- sweep units ----------------------------------------------------------------
+# -- sweep units and their merges -----------------------------------------------
 
 
 @lru_cache(maxsize=2)
@@ -228,26 +234,26 @@ def _dual_table_cached(n: int):
     return dual_schubert_table(n)
 
 
-def _unit_ps_mconvex(n: int, key: str) -> dict:
+def _failing_above(key: str, fails: Callable[[Perm, Perm, frozenset], bool]) -> dict:
+    """The unit for u = key: pairs u <= v, and each v (by length) that fails."""
     u = parse_perm(key)
     table = support_table_above(u)
-    fails = [
-        format_perm(v)
-        for v in sorted(table, key=lambda p: (length(p), p))
-        if m_convex_failure(table[v]) is not None
-    ]
-    return {"pairs": len(table), "fails": fails}
+    return {
+        "pairs": len(table),
+        "fails": [
+            format_perm(v)
+            for v in sorted(table, key=lambda p: (length(p), p))
+            if fails(u, v, table[v])
+        ],
+    }
+
+
+def _unit_ps_mconvex(n: int, key: str) -> dict:
+    return _failing_above(key, lambda u, v, supp: m_convex_failure(supp) is not None)
 
 
 def _unit_scnp_pattern(n: int, key: str) -> dict:
-    u = parse_perm(key)
-    table = support_table_above(u)
-    fails = [
-        format_perm(v)
-        for v in sorted(table, key=lambda p: (length(p), p))
-        if not _scnp_decide(u, v, table[v]).holds
-    ]
-    return {"pairs": len(table), "fails": fails}
+    return _failing_above(key, lambda u, v, supp: not _scnp_decide(u, v, supp).holds)
 
 
 def _unit_theorems(n: int, key: str) -> dict:
@@ -278,15 +284,66 @@ def _unit_theorems(n: int, key: str) -> dict:
     return {"pairs": 1, "fails": fails}
 
 
-_UNIT_FN: dict[str, Callable[[int, str], dict]] = {
-    "ps-mconvex": _unit_ps_mconvex,
-    "scnp-pattern": _unit_scnp_pattern,
-    "paper-theorems": _unit_theorems,
+def _merge_ps_mconvex(n: int, fails: dict[str, list]) -> tuple[list, list]:
+    return [
+        {"kind": "support-not-m-convex", "u": u, "w": w}
+        for u, ws in fails.items()
+        for w in ws
+    ], []
+
+
+def _merge_scnp_pattern(n: int, fails: dict[str, list]) -> tuple[list, list]:
+    failing_ws = {w for ws in fails.values() for w in ws}
+    counterexamples = []
+    for u, ws in fails.items():
+        exists = bool(ws)
+        expected = n >= len(LOWER_PATTERN) and contains_pattern(
+            parse_perm(u), LOWER_PATTERN
+        )
+        if exists != expected:
+            counterexamples.append(
+                {
+                    "kind": "lower-pattern-mismatch",
+                    "perm": u,
+                    "has_failing_partner": exists,
+                    "contains_pattern": expected,
+                    "witness": ws[0] if exists else None,
+                }
+            )
+    for w in fails:
+        exists = w in failing_ws
+        expected = n >= len(UPPER_PATTERN) and contains_pattern(
+            parse_perm(w), UPPER_PATTERN
+        )
+        if exists != expected:
+            counterexamples.append(
+                {
+                    "kind": "upper-pattern-mismatch",
+                    "perm": w,
+                    "has_failing_partner": exists,
+                    "contains_pattern": expected,
+                }
+            )
+    return counterexamples, [(u, w) for u, ws in fails.items() for w in ws]
+
+
+def _merge_theorems(n: int, fails: dict[str, list]) -> tuple[list, list]:
+    return [rec for recs in fails.values() for rec in recs], []
+
+
+# mode -> (unit, merge).  One unit per permutation key of S_n: unit(n, key)
+# returns {"pairs": int, "fails": list}.  merge(n, fails) takes every unit's
+# fails in key order and returns the report's counterexamples and
+# scnp_failures.
+SWEEPS: dict[str, tuple[Callable[[int, str], dict], Callable[[int, dict], tuple]]] = {
+    "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex),
+    "scnp-pattern": (_unit_scnp_pattern, _merge_scnp_pattern),
+    "paper-theorems": (_unit_theorems, _merge_theorems),
 }
 
 
 def _run_unit(mode: str, n: int, key: str) -> dict:
-    return _UNIT_FN[mode](n, key)
+    return SWEEPS[mode][0](n, key)
 
 
 # -- sweep driver ----------------------------------------------------------------
@@ -305,7 +362,7 @@ def _write_checkpoint(path, token: dict) -> None:
 
 
 def _check_token(token) -> None:
-    """Raise ValueError unless token has the shape `_run_sweep` writes."""
+    """Raise ValueError unless token has the shape `_sweep` writes."""
     done = token.get("done") if isinstance(token, dict) else None
     if not (
         isinstance(done, dict)
@@ -330,24 +387,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_sweep(
+def _serve(conn, mode: str, n: int) -> None:
+    """Worker process: run each unit key that `conn` brings, send back its record."""
+    with suppress(EOFError):  # the sweep has closed its end
+        while True:
+            key = conn.recv()
+            try:
+                conn.send((_run_unit(mode, n, key), None))
+            except Exception as exc:  # the sweep raises it
+                conn.send((exc, traceback.format_exc()))
+
+
+def _sweep(
     mode: str,
     n: int,
-    keys: list[str],
     jobs: int,
     budget: float | None,
     resume: dict | None,
     checkpoint_path,
     progress: Callable[[int, int, str], None] | None,
-) -> tuple[dict[str, dict], bool, float]:
-    """Run units, honoring resume state and the wall-clock budget.
+) -> ConjectureReport:
+    """Run the units of SWEEPS[mode] over S_n and merge them into a report.
 
-    Uses at most min(jobs, pending units, usable CPUs) worker processes,
-    and none when that is 1.  Returns (unit results by key, complete flag,
-    cumulative elapsed).
+    Units recorded in `resume` are skipped.  The rest run in-process when
+    min(jobs, pending units, usable CPUs) is 1, else on that many worker
+    processes.  The checkpoint is written before the first unit and after
+    every unit.  Once the budget has run out no further result is awaited
+    and the report is partial, with a resume token.  Leaving the loop, on
+    budget or on error, terminates the worker processes.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if budget is not None and not math.isfinite(budget):
+        raise ValueError(f"budget must be a finite number of seconds, got {budget}")
+    keys = [format_perm(p) for p in all_perms(n)]
     done: dict[str, dict] = {}
     prior = 0.0
     if resume is not None:
@@ -358,10 +431,6 @@ def _run_sweep(
         prior = float(resume.get("elapsed", 0.0))
     pending = [k for k in keys if k not in done]
     start = time.monotonic()
-
-    def note(key: str) -> None:
-        if progress is not None:
-            progress(len(done), len(keys), key)
 
     def token() -> dict:
         return {
@@ -374,53 +443,58 @@ def _run_sweep(
     if checkpoint_path is not None:
         _write_checkpoint(checkpoint_path, token())
     workers = min(jobs, len(pending), _usable_cpus())
-    complete = True
-    if workers <= 1:
-        for key in pending:
-            if budget is not None and time.monotonic() - start > budget:
-                complete = False
+    todo = iter(pending)
+    procs, held = [], {}  # the worker processes, and the key each is running
+    try:
+        # Each worker is sent its next unit only when it returns one: with
+        # units queued ahead, the sweep's pace varied more from run to run.
+        for _ in range(workers if workers > 1 else 0):
+            conn, child = Pipe()
+            procs.append(Process(target=_serve, args=(child, mode, n), daemon=True))
+            procs[-1].start()
+            child.close()
+            held[conn] = next(todo)
+            conn.send(held[conn])
+        for _ in pending:
+            left = None if budget is None else start + budget - time.monotonic()
+            if left is not None and left < 0:
                 break
-            done[key] = _run_unit(mode, n, key)
+            if not procs:
+                key = next(todo)
+                record = _run_unit(mode, n, key)
+            elif ready := wait(list(held), left):
+                record, failure = ready[0].recv()  # EOFError if the worker died
+                if failure is not None:
+                    raise record from RuntimeError(f"in a worker process:\n{failure}")
+                key = held.pop(ready[0])
+                if (following := next(todo, None)) is not None:
+                    held[ready[0]] = following
+                    ready[0].send(following)
+            else:
+                break
+            done[key] = record
             if checkpoint_path is not None:
                 _write_checkpoint(checkpoint_path, token())
-            note(key)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_unit, mode, n, k): k for k in pending}
-            remaining = set(futures)
-            while remaining:
-                timeout = None
-                if budget is not None:
-                    timeout = max(0.0, budget - (time.monotonic() - start))
-                finished, remaining = wait(
-                    remaining, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                for fut in finished:
-                    key = futures[fut]
-                    done[key] = fut.result()
-                    note(key)
-                if checkpoint_path is not None and finished:
-                    _write_checkpoint(checkpoint_path, token())
-                if budget is not None and time.monotonic() - start > budget:
-                    if remaining:
-                        complete = False
-                        for fut in remaining:
-                            fut.cancel()
-                    break
+            if progress is not None:
+                progress(len(done), len(keys), key)
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+    final = token()
     if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, token())
-    return done, complete, prior + (time.monotonic() - start)
-
-
-def _partial_report(mode, n, done, elapsed) -> ConjectureReport:
+        _write_checkpoint(checkpoint_path, final)
+    pairs = sum(done[k]["pairs"] for k in keys if k in done)
+    elapsed = final["elapsed"]
+    if any(k not in done for k in keys):
+        return ConjectureReport(
+            mode, n, pairs, [], elapsed, complete=False, resume_token=final
+        )
+    counterexamples, scnp_failures = SWEEPS[mode][1](
+        n, {k: done[k]["fails"] for k in keys}
+    )
     return ConjectureReport(
-        mode=mode,
-        n=n,
-        checked_pairs=sum(r["pairs"] for r in done.values()),
-        counterexamples=[],
-        elapsed=elapsed,
-        complete=False,
-        resume_token={"mode": mode, "n": n, "elapsed": elapsed, "done": done},
+        mode, n, pairs, counterexamples, elapsed, scnp_failures=scnp_failures
     )
 
 
@@ -434,24 +508,7 @@ def verify_ps_mconvex(
     progress=None,
 ) -> ConjectureReport:
     """Is the interval weight support M-convex for every pair u <= w in S_n?"""
-    keys = [format_perm(u) for u in all_perms(n)]
-    done, complete, elapsed = _run_sweep(
-        "ps-mconvex", n, keys, jobs, budget, resume, checkpoint_path, progress
-    )
-    if not complete:
-        return _partial_report("ps-mconvex", n, done, elapsed)
-    counterexamples = [
-        {"kind": "support-not-m-convex", "u": u, "w": w}
-        for u in keys
-        for w in done[u]["fails"]
-    ]
-    return ConjectureReport(
-        mode="ps-mconvex",
-        n=n,
-        checked_pairs=sum(done[u]["pairs"] for u in keys),
-        counterexamples=counterexamples,
-        elapsed=elapsed,
-    )
+    return _sweep("ps-mconvex", n, jobs, budget, resume, checkpoint_path, progress)
 
 
 def verify_scnp_pattern(
@@ -469,52 +526,7 @@ def verify_scnp_pattern(
     property exactly when u contains LOWER_PATTERN; dually an upper endpoint
     w should admit such a u <= w exactly when w contains UPPER_PATTERN.
     """
-    keys = [format_perm(u) for u in all_perms(n)]
-    done, complete, elapsed = _run_sweep(
-        "scnp-pattern", n, keys, jobs, budget, resume, checkpoint_path, progress
-    )
-    if not complete:
-        return _partial_report("scnp-pattern", n, done, elapsed)
-    fails_by_u = {u: done[u]["fails"] for u in keys}
-    failing_ws = {w for fails in fails_by_u.values() for w in fails}
-    counterexamples = []
-    for u in keys:
-        exists = bool(fails_by_u[u])
-        expected = n >= len(LOWER_PATTERN) and contains_pattern(
-            parse_perm(u), LOWER_PATTERN
-        )
-        if exists != expected:
-            counterexamples.append(
-                {
-                    "kind": "lower-pattern-mismatch",
-                    "perm": u,
-                    "has_failing_partner": exists,
-                    "contains_pattern": expected,
-                    "witness": fails_by_u[u][0] if exists else None,
-                }
-            )
-    for w in keys:
-        exists = w in failing_ws
-        expected = n >= len(UPPER_PATTERN) and contains_pattern(
-            parse_perm(w), UPPER_PATTERN
-        )
-        if exists != expected:
-            counterexamples.append(
-                {
-                    "kind": "upper-pattern-mismatch",
-                    "perm": w,
-                    "has_failing_partner": exists,
-                    "contains_pattern": expected,
-                }
-            )
-    return ConjectureReport(
-        mode="scnp-pattern",
-        n=n,
-        checked_pairs=sum(done[u]["pairs"] for u in keys),
-        counterexamples=counterexamples,
-        elapsed=elapsed,
-        scnp_failures=[(u, w) for u in keys for w in fails_by_u[u]],
-    )
+    return _sweep("scnp-pattern", n, jobs, budget, resume, checkpoint_path, progress)
 
 
 def verify_theorems(
@@ -534,17 +546,4 @@ def verify_theorems(
     inversion polytope's integer points equal the support; and the three
     vertex enumeration methods agree.
     """
-    keys = [format_perm(w) for w in all_perms(n)]
-    done, complete, elapsed = _run_sweep(
-        "paper-theorems", n, keys, jobs, budget, resume, checkpoint_path, progress
-    )
-    if not complete:
-        return _partial_report("paper-theorems", n, done, elapsed)
-    counterexamples = [rec for w in keys for rec in done[w]["fails"]]
-    return ConjectureReport(
-        mode="paper-theorems",
-        n=n,
-        checked_pairs=len(keys),
-        counterexamples=counterexamples,
-        elapsed=elapsed,
-    )
+    return _sweep("paper-theorems", n, jobs, budget, resume, checkpoint_path, progress)

@@ -274,6 +274,28 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
     assert err.startswith("error: jobs must be at least 1")
 
 
+@pytest.mark.parametrize("budget", ["inf", "nan"])
+def test_verify_rejects_non_finite_budget(capsys, budget):
+    rc, out, err = run(
+        capsys,
+        "verify", "--mode", "ps-mconvex", "--n", "4", "--jobs", "2",
+        "--budget", budget,
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: budget must be a finite number of seconds")
+
+
+def test_verify_negative_budget_stops_at_once(capsys):
+    rc, out, err = run(
+        capsys, "verify", "--mode", "ps-mconvex", "--n", "4", "--budget", "-1",
+    )
+    assert rc == 0
+    assert "checked pairs    0" in out
+    assert "complete         no (resumable)" in out
+    assert "progress:" not in err
+
+
 def test_malformed_permutation_is_usage_error(capsys):
     rc, _, err = run(capsys, "dual-schubert", "999")
     assert rc == 2
@@ -286,3 +308,7 @@ def test_malformed_permutation_is_usage_error(capsys):
 def test_unknown_flag_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["vertices", "4213", "--method", "nope"])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--mode", "nope", "--n", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -136,17 +138,38 @@ def test_verify_theorems_small():
     assert r4.checked_pairs == 24
 
 
-def test_budget_zero_yields_resumable_partial():
-    r = verify_scnp_pattern(4, budget=0)
+VERIFY = {
+    "ps-mconvex": verify_ps_mconvex,
+    "scnp-pattern": verify_scnp_pattern,
+    "paper-theorems": verify_theorems,
+}
+
+
+def without_elapsed(report) -> dict:
+    out = report.to_json_dict()
+    del out["elapsed"]
+    return out
+
+
+def checkpoint_done(path) -> dict:
+    return json.loads(path.read_text())["done"]
+
+
+@pytest.mark.parametrize("mode", list(scnp.SWEEPS))
+def test_budget_zero_yields_resumable_partial(mode, tmp_path):
+    verify = VERIFY[mode]
+    serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
+    serial = verify(4, checkpoint_path=serial_path)
+    r = verify(4, budget=0, checkpoint_path=path)
     assert not r.complete
     assert not r.ok()
     assert r.checked_pairs == 0
     token = r.resume_token
-    assert token["mode"] == "scnp-pattern" and token["n"] == 4
-    full = verify_scnp_pattern(4, resume=token)
+    assert token["mode"] == mode and token["n"] == 4 and token["done"] == {}
+    full = verify(4, resume=token, checkpoint_path=path)
     assert full.ok()
-    assert full.checked_pairs == 213
-    assert full.scnp_failures == [("1324", "4231")]
+    assert without_elapsed(full) == without_elapsed(serial)
+    assert checkpoint_done(path) == checkpoint_done(serial_path)
 
 
 def test_resume_rejects_mismatched_token():
@@ -170,13 +193,59 @@ def test_checkpoint_file_round_trip(tmp_path):
     }
 
 
-def test_parallel_sweep_matches_serial():
-    serial = verify_scnp_pattern(4)
-    parallel = verify_scnp_pattern(4, jobs=2)
+@pytest.mark.parametrize("mode", list(scnp.SWEEPS))
+def test_parallel_sweep_matches_serial(mode, monkeypatch, tmp_path):
+    verify = VERIFY[mode]
+    serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
+    serial = verify(4, checkpoint_path=serial_path)
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+    lag = []
+
+    def progress(done, total, key):
+        lag.append(done - len(checkpoint_done(path)))
+
+    parallel = verify(4, jobs=2, checkpoint_path=path, progress=progress)
     assert parallel.ok()
-    assert parallel.checked_pairs == serial.checked_pairs
-    assert parallel.scnp_failures == serial.scnp_failures
-    assert parallel.counterexamples == serial.counterexamples
+    assert without_elapsed(parallel) == without_elapsed(serial)
+    assert checkpoint_done(path) == checkpoint_done(serial_path)
+    assert lag == [0] * 24  # the checkpoint is written after every unit
+
+
+def test_budget_bounds_a_pool_sweep(monkeypatch):
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+    start = time.monotonic()
+    report = verify_ps_mconvex(6, jobs=2, budget=1.0)
+    assert time.monotonic() - start < 15
+    assert not report.complete
+    assert multiprocessing.active_children() == []
+
+
+def test_error_in_pool_sweep_stops_the_workers(monkeypatch):
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+
+    def fail(done, total, key):
+        raise RuntimeError("progress failed")
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="progress failed"):
+        verify_scnp_pattern(6, jobs=2, progress=fail)
+    assert time.monotonic() - start < 15
+    assert multiprocessing.active_children() == []
+
+
+def test_unit_error_in_a_worker_reaches_the_caller(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched unit only when forked")
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+
+    def broken(mode, n, key):
+        raise ValueError(f"unit {key} failed")
+
+    monkeypatch.setattr(scnp, "_run_unit", broken)
+    with pytest.raises(ValueError, match=r"unit \d+ failed") as info:
+        verify_scnp_pattern(4, jobs=2)
+    assert "in a worker process" in str(info.value.__cause__)
+    assert multiprocessing.active_children() == []
 
 
 def test_single_usable_cpu_runs_serially(monkeypatch):
@@ -184,7 +253,7 @@ def test_single_usable_cpu_runs_serially(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(scnp, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(scnp, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(scnp, "Process", no_pool)
     report = verify_scnp_pattern(4, jobs=2)
     assert report.ok() and report.scnp_failures == [("1324", "4231")]
 
