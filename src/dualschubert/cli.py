@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import bruhat, scnp
@@ -197,14 +198,11 @@ def _render_interval(u: Perm, w: Perm) -> str:
 
 def _cmd_chains(args) -> int:
     u, w = parse_perm(args.u), parse_perm(args.w)
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, got {args.limit}")
     stream = enumerate_chains(u, w)
-    chains = []
-    truncated = False
-    for chain in stream:
-        if args.limit is not None and len(chains) >= args.limit:
-            truncated = True
-            break
-        chains.append(chain)
+    chains = list(islice(stream, args.limit))
+    truncated = next(stream, None) is not None
     if args.json:
         print(
             _dumps(

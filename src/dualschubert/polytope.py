@@ -132,30 +132,27 @@ def hull_contains(points: Iterable[tuple], target: tuple) -> bool:
 def hull_vertices(points: Iterable[tuple]) -> frozenset[tuple]:
     """Vertices of the convex hull of a finite point set.  Exact.
 
-    A point is kept exactly when it is not in the hull of the others.
     Midpoints of two other members are discarded without touching the
-    simplex; the rest are decided by exact hull membership.
+    simplex.  No vertex is such a midpoint, so the survivors have the same
+    hull as the whole set; a survivor is kept exactly when it is not in the
+    hull of the other survivors.
     """
     pts = sorted(set(tuple(p) for p in points))
     _check_point_dims(pts)
     if len(pts) == 1:
         return frozenset(pts)
     pset = set(pts)
-    verts = []
-    for alpha in pts:
-        is_mid = False
-        for beta in pts:
-            if beta == alpha:
-                continue
-            gamma = tuple(2 * a - c for a, c in zip(alpha, beta))
-            if gamma in pset:
-                is_mid = True
-                break
-        if is_mid:
-            continue
-        if not hull_contains([p for p in pts if p != alpha], alpha):
-            verts.append(alpha)
-    return frozenset(verts)
+    survivors = [
+        alpha
+        for alpha in pts
+        if not any(
+            beta != alpha and tuple(2 * a - c for a, c in zip(alpha, beta)) in pset
+            for beta in pts
+        )
+    ]
+    return frozenset(
+        v for v in survivors if not hull_contains([p for p in survivors if p != v], v)
+    )
 
 
 # -- supports and their polytopes ---------------------------------------------

@@ -1,13 +1,17 @@
 """
 Single-chain support decisions and exhaustive rank sweeps.
 
-An interval [u, w] has the single-chain property when some one saturated
-chain's weight already has the full support of the interval's weight
-polynomial; such a chain is called dominant.  The decision procedure tries
-the greedy chain first (for intervals starting at the identity it is always
-dominant), then falls back to a depth-first search over chains that memoizes
-(node, accumulated support) states and prunes any partial chain whose
-support sticks out of the target's coordinatewise shadow.
+An interval [u, w] has the single-chain property when one saturated chain's
+weight has the full support T of the interval's weight; such a chain is
+dominant.  A chain's support C is the set of integer points of the
+generalized permutahedron whose z_C(I) counts the chain's labels (a, b) with
+{a, ..., b-1} inside I (Postnikov, "Permutohedra, associahedra, and beyond").
+C lies inside T, the weight being a positive sum of chain weights, so z_T <=
+z_C for z_T(I) = min over t in T of sum(t_i, i in I).  z_C is additive over
+the maximal segments of I and z_T superadditive, so C = T exactly when they
+agree on the n(n-1)/2 segments {i, ..., j-1}.  Counts only grow along a
+chain: a prefix exceeding z_T on a segment is cut, and a chain reaching w is
+dominant.  The greedy chain is tried first, then a DFS over (node, counts).
 
 Supports are computed by the same cover-split fold over the interval as the
 coefficients (`bruhat._interval_fold`), with a union step: the support of a
@@ -34,8 +38,10 @@ import traceback
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import wait
+from operator import add, gt
 from pathlib import Path
 from typing import Callable
 
@@ -61,7 +67,6 @@ from .polytope import (
     hull_vertices,
     is_snp,
     m_convex_failure,
-    newton_vertices_coeff1,
 )
 from .tiling import vertices_via_tilings
 
@@ -77,7 +82,7 @@ class ScnpVerdict:
 
     holds: bool
     witness: SaturatedChain | None
-    chains_examined: int
+    chains_examined: int  # the greedy chain, plus the chain a search found
 
 
 @dataclass
@@ -161,66 +166,66 @@ def support_table_above(u: Perm) -> dict[Perm, frozenset]:
 # -- the single-chain decision -------------------------------------------------
 
 
-def _scnp_search(u: Perm, w: Perm, target: frozenset, examined: int) -> ScnpVerdict:
-    """Exhaustive dominant-chain search with state dedup and shadow pruning."""
+@lru_cache(maxsize=None)
+def _label_steps(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Label (a, b) -> its count on each segment (i, j), the same pairs in order."""
+    segs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    return {(a, b): tuple(int(i <= a and b <= j) for i, j in segs) for a, b in segs}
+
+
+def _label_counts(labels, n: int) -> tuple[int, ...]:
+    """Per segment: how many of the labels lie inside it."""
+    return tuple(sum(i <= a and b <= j for a, b in labels) for i, j in _label_steps(n))
+
+
+def _segment_floors(target: frozenset, n: int) -> tuple[int, ...]:
+    """Per segment (i, j): z_T(i, j) = min over t in T of t_i + ... + t_{j-1}."""
+    sums = [list(accumulate(t, initial=0)) for t in target]
+    return tuple(min(s[j - 1] - s[i - 1] for s in sums) for i, j in _label_steps(n))
+
+
+def _scnp_search(u: Perm, w: Perm, z: tuple, examined: int) -> ScnpVerdict:
+    """DFS over (node, counts) states; a child above z or seen before is cut."""
     interval = bruhat.interval_elements(u, w)
-    ups = {
-        v: [(v2, lab) for v2, lab in up_covers(v) if v2 in interval]
-        for v in interval
-    }
-    shadow: dict[tuple, bool] = {}
-
-    def under(p: tuple) -> bool:
-        r = shadow.get(p)
-        if r is None:
-            r = any(all(x <= y for x, y in zip(p, t)) for t in target)
-            shadow[p] = r
-        return r
-
+    steps = _label_steps(len(u))
+    ups: dict[Perm, list] = {}
     seen: set = set()
-    count = [examined]
 
-    def dfs(v, supp, nodes, labels):
+    def dfs(v, counts, nodes, labels):
         if v == w:
-            count[0] += 1
-            return SaturatedChain(nodes, labels) if supp == target else None
-        children = []
+            return SaturatedChain(nodes, labels) if counts == z else None
+        if v not in ups:
+            ups[v] = [(v2, lab) for v2, lab in up_covers(v) if v2 in interval]
         for v2, lab in ups[v]:
-            s2 = _msum_segment(supp, *lab)
-            if (v2, s2) in seen:
+            c2 = tuple(map(add, counts, steps[lab]))
+            if (v2, c2) in seen or any(map(gt, c2, z)):
                 continue
-            if all(under(p) for p in s2):
-                children.append((-len(s2), lab, v2, s2))
-        children.sort(key=lambda t: (t[0], t[1]))
-        for _, lab, v2, s2 in children:
-            seen.add((v2, s2))
-            found = dfs(v2, s2, nodes + (v2,), labels + (lab,))
+            seen.add((v2, c2))
+            found = dfs(v2, c2, nodes + (v2,), labels + (lab,))
             if found is not None:
                 return found
         return None
 
-    chain = dfs(u, frozenset({(0,) * (len(u) - 1)}), (u,), ())
-    return ScnpVerdict(chain is not None, chain, count[0])
+    chain = dfs(u, (0,) * len(z), (u,), ())
+    return ScnpVerdict(chain is not None, chain, examined + (chain is not None))
 
 
 def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
     if u == w:
         return ScnpVerdict(True, trivial_chain(u), 1)
+    z = _segment_floors(target, len(u))
     g = greedy_chain(u, w)
-    supp = frozenset({(0,) * (len(u) - 1)})
-    for a, b in g.labels:
-        supp = _msum_segment(supp, a, b)
-    if supp == target:
+    if _label_counts(g.labels, len(u)) == z:
         return ScnpVerdict(True, g, 1)
-    return _scnp_search(u, w, target, examined=1)
+    return _scnp_search(u, w, z, examined=1)
 
 
 def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
     """Decide whether some single chain of [u, w] carries the full support.
 
     Raises ValueError when u is not below w.  The verdict's witness, when
-    the property holds, is a dominant chain; chains_examined counts the
-    complete chains whose support was compared against the target.
+    the property holds, is a dominant chain; chains_examined is 2 when the
+    search found it, else 1.
     """
     u, w = validate(u), validate(w)
     return _scnp_decide(u, w, ps_support(u, w))
@@ -277,7 +282,7 @@ def _unit_theorems(n: int, key: str) -> dict:
     if gp_from_inversions(w).integer_points() != supp:
         fails.append({"kind": "polytope-points-mismatch", "w": key})
     vt = vertices_via_tilings(w)
-    vc = newton_vertices_coeff1(w)
+    vc = gw.coeff_one_exponents()
     vh = hull_vertices(gw.support())
     if not (vt == vc == vh):
         fails.append({"kind": "vertex-method-mismatch", "w": key})

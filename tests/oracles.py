@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: covers by trying every transposition,
 order relations by BFS closure, matchings by trying every pairing, hulls by
-Caratheodory enumeration over exact linear solves.  Slow but obviously
-correct, which is the point.
+Caratheodory enumeration over exact linear solves, dominant chains by a
+search over lattice-point sets.  Slow but obviously correct, which is the
+point.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+
+from dualschubert.bruhat import SaturatedChain, interval_elements
+from dualschubert.perm import up_covers
 
 
 def inversion_count(w):
@@ -154,3 +158,46 @@ def hull_contains_bruteforce(points, target):
             if sol is not None and all(lam >= 0 for lam in sol):
                 return True
     return False
+
+
+def add_segment(points, a, b):
+    """Minkowski-add the segment {e_a, ..., e_{b-1}} to a lattice-point set."""
+    return frozenset(
+        p[:i] + (p[i] + 1,) + p[i + 1:] for p in points for i in range(a - 1, b - 1)
+    )
+
+
+def dominant_chain_by_sets(u, w, target):
+    """A chain from u to w whose support is the point set target, or None.
+
+    Depth-first over (node, support set) states: each step Minkowski-adds
+    its label's segment, a prefix with a point outside the coordinatewise
+    shadow of target is cut, and larger supports are tried first.
+    """
+    interval = interval_elements(u, w)
+    shadow = {}
+
+    def under(p):
+        if p not in shadow:
+            shadow[p] = any(all(x <= y for x, y in zip(p, t)) for t in target)
+        return shadow[p]
+
+    seen = set()
+
+    def dfs(v, supp, nodes, labels):
+        if v == w:
+            return SaturatedChain(nodes, labels) if supp == target else None
+        children = []
+        for v2, lab in up_covers(v):
+            if v2 in interval:
+                s2 = add_segment(supp, *lab)
+                if (v2, s2) not in seen and all(under(p) for p in s2):
+                    children.append((-len(s2), lab, v2, s2))
+        for _, lab, v2, s2 in sorted(children):
+            seen.add((v2, s2))
+            found = dfs(v2, s2, nodes + (v2,), labels + (lab,))
+            if found is not None:
+                return found
+        return None
+
+    return dfs(u, frozenset({(0,) * (len(u) - 1)}), (u,), ())

@@ -167,7 +167,7 @@ def test_check_scnp_negative_exit_code(capsys):
     assert rc == 1
     assert out.splitlines() == [
         "single-chain property: false",
-        "chains examined: 9",
+        "chains examined: 1",
     ]
     rc, out, _ = run(capsys, "check-scnp", "1324", "4231", "--json")
     assert rc == 1
@@ -303,6 +303,9 @@ def test_malformed_permutation_is_usage_error(capsys):
     rc, _, err = run(capsys, "ps", "213", "132")
     assert rc == 2
     assert "not below" in err
+    rc, _, err = run(capsys, "chains", "123", "321", "--limit", "-1")
+    assert rc == 2
+    assert err.startswith("error: --limit")
 
 
 def test_unknown_flag_exits_via_argparse(capsys):

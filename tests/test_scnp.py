@@ -13,10 +13,12 @@ from dualschubert import (
     bruhat_leq,
     chain_weight,
     dual_schubert_table,
+    enumerate_chains,
     greedy_chain,
     identity,
     is_scnp,
     is_snp,
+    length,
     postnikov_stanley_dp,
     ps_support,
     support_table_above,
@@ -26,6 +28,7 @@ from dualschubert import (
 )
 from dualschubert import scnp
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
+from oracles import add_segment, dominant_chain_by_sets
 
 
 def comparable_pairs(n):
@@ -78,9 +81,46 @@ def test_is_scnp_negative_fixture():
     v = is_scnp((1, 3, 2, 4), (4, 2, 3, 1))
     assert not v.holds
     assert v.witness is None
-    assert v.chains_examined > 1
+    assert v.chains_examined == 1
     # the separating example: saturated but no single dominant chain
     assert is_snp(postnikov_stanley_dp((1, 3, 2, 4), (4, 2, 3, 1)))
+
+
+def test_count_criterion_matches_chain_supports_s4():
+    for u, w in comparable_pairs(4):
+        target = ps_support(u, w)
+        floors = scnp._segment_floors(target, 4)
+        for chain in enumerate_chains(u, w):
+            dominant = chain_weight(chain).support() == target
+            assert dominant == (scnp._label_counts(chain.labels, 4) == floors)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_count_route_matches_set_oracle(n):
+    for u in all_perms(n):
+        for w, target in support_table_above(u).items():
+            verdict = scnp._scnp_decide(u, w, target)
+            assert verdict.holds == (dominant_chain_by_sets(u, w, target) is not None)
+            if verdict.holds:
+                assert chain_weight(verdict.witness).support() == target
+
+
+def test_count_route_matches_set_oracle_rank6_sample():
+    u = (1, 3, 2, 4, 5, 6)
+    table = support_table_above(u)
+
+    def greedy_support(w):
+        support = frozenset({(0,) * 5})
+        for a, b in greedy_chain(u, w).labels:
+            support = add_segment(support, a, b)
+        return support
+
+    ordered = sorted(table, key=lambda p: (length(p), p))
+    sample = [w for w in ordered if greedy_support(w) != table[w]][:40]
+    assert len(sample) == 40
+    for w in sample:
+        verdict = scnp._scnp_decide(u, w, table[w])
+        assert verdict.holds == (dominant_chain_by_sets(u, w, table[w]) is not None)
 
 
 def test_is_scnp_rejects_bad_pairs():
