@@ -48,6 +48,7 @@ from .polytope import (
     hull_vertices,
     is_m_convex,
     is_snp,
+    m_convex_certificate,
     m_convex_failure,
     minkowski_support,
     newton_vertices_coeff1,

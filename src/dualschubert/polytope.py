@@ -15,13 +15,25 @@ A generalized permutahedron in k coordinates is stored as its support
 numbers z_I, one per subset I of {1..k}: the polytope of points t with
 sum(t) = z_{full} and sum(t_i, i in I) >= z_I for every other I.
 Minkowski sums add z-values pointwise.
+
+One certificate settles M-convexity, SNP and the vertices together.  For a
+set S of points with one coordinate sum let z_S(I) = min over S of sum(s_i,
+i in I).  S is M-convex exactly when z_S is supermodular and S is every
+integer point of the polytope z_S defines (Murota, "Discrete Convex
+Analysis", 2003); that polytope is then conv(S), and its vertices are its
+greedy points (Edmonds, "Submodular functions, matroids, and certain
+polyhedra", 1970).  `m_convex_certificate` checks this, and `is_snp`,
+`m_convex_failure` and the paper-theorems sweep try it before the simplex
+or the exchange-pair loop, which run only when it fails.
 """
 
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import permutations, product
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .perm import Perm, PositionPair, inversions, validate
@@ -211,6 +223,73 @@ def _parse_subset_key(key: str) -> frozenset[int]:
     return frozenset(int(part) for part in body.split(","))
 
 
+@lru_cache(maxsize=None)
+def _mask_subsets(n: int) -> tuple[frozenset[int], ...]:
+    """The subsets of 1..n indexed by bitmask: bit i-1 stands for coordinate i."""
+    return tuple(
+        frozenset(i + 1 for i in range(n) if m >> i & 1) for m in range(1 << n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _squares(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(A+i, A+j, A+i+j, A) as bitmasks, for every A and i < j outside it."""
+    return tuple(
+        (a | 1 << i, a | 1 << j, a | 1 << i | 1 << j, a)
+        for a in range(1 << n)
+        for i in range(n)
+        if not a >> i & 1
+        for j in range(i + 1, n)
+        if not a >> j & 1
+    )
+
+
+def _is_supermodular(z: Sequence[int], n: int) -> bool:
+    """z(A+i) + z(A+j) <= z(A+i+j) + z(A) for every A and i, j outside it.
+
+    These local inequalities imply supermodularity on all pairs of subsets.
+    """
+    return all(z[x] + z[y] <= z[xy] + z[a] for x, y, xy, a in _squares(n))
+
+
+@lru_cache(maxsize=None)
+def _prefix_bounds(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per coordinate k, over the subsets I of 0..k-1: the masks I+k, full-I-k."""
+    full = (1 << n) - 1
+    return tuple(
+        (
+            tuple(i | 1 << k for i in range(1 << k)),
+            tuple(full ^ i ^ 1 << k for i in range(1 << k)),
+        )
+        for k in range(n)
+    )
+
+
+def _base_points(z: Sequence[int], n: int):
+    """Yield the integer t with sum(t) = z(full) and t(I) >= z(I), by bitmask.
+
+    Coordinates are fixed in order, with the sums t(I) over the subsets I of
+    the fixed prefix carried along.  Coordinate k meets every inequality
+    whose largest member is k: z(I+k) - t(I) <= t_k <= z(full) -
+    z(full-I-k) - t(I), so each inequality is read once per prefix.  For a
+    supermodular z every prefix that gets a value extends to a point.
+    """
+    top = z[-1]
+    bounds = [
+        ([z[m] for m in lo], [top - z[m] for m in hi]) for lo, hi in _prefix_bounds(n)
+    ]
+
+    def walk(k: int, sums: list[int], prefix: tuple[int, ...]):
+        if k == n:
+            yield prefix
+            return
+        lows, highs = bounds[k]
+        for v in range(max(map(sub, lows, sums)), min(map(sub, highs, sums)) + 1):
+            yield from walk(k + 1, sums + [s + v for s in sums], prefix + (v,))
+
+    return walk(0, [0], ())
+
+
 class GeneralizedPermutahedron:
     """Polytope described by one support number per coordinate subset."""
 
@@ -229,9 +308,8 @@ class GeneralizedPermutahedron:
             table[subset] = val
         if table.get(frozenset(), 0) != 0:
             raise ValueError("the empty set must carry z = 0")
-        for r in range(nvars + 1):
-            for c in combinations(range(1, nvars + 1), r):
-                table.setdefault(frozenset(c), 0)
+        for subset in _mask_subsets(nvars):
+            table.setdefault(subset, 0)
         self.z = table
 
     def __eq__(self, other) -> bool:
@@ -270,40 +348,32 @@ class GeneralizedPermutahedron:
                     return False
         return True
 
+    def _masks(self) -> list[int]:
+        """The support numbers indexed by bitmask, as in `_mask_subsets`."""
+        return [self.z[s] for s in _mask_subsets(self.nvars)]
+
     def integer_points(self) -> frozenset[LatticePoint]:
-        """All integer points of the polytope.
+        """All integer points of the polytope; see `_base_points`."""
+        return frozenset(_base_points(self._masks(), self.nvars))
 
-        Coordinate i is boxed by z_{i} from below and by
-        z_full - z_complement(i) from above; candidates are walked with
-        prefix-sum pruning and filtered by the remaining inequalities.
+    def vertices(self) -> frozenset[LatticePoint]:
+        """The vertices, as greedy points: no linear programming.
+
+        For a coordinate order s the greedy point t has t_{s(k)} =
+        z(s(1..k)) - z(s(1..k-1)).  When z is supermodular the polytope is a
+        base polytope and its vertices are exactly its greedy points (Edmonds
+        1970).  Raises ValueError when z is not supermodular.
         """
-        n = self.nvars
-        full = frozenset(range(1, n + 1))
-        total = self.z[full]
-        if n == 0:
-            return frozenset({()}) if total == 0 else frozenset()
-        los = [self.z[frozenset({i})] for i in range(1, n + 1)]
-        his = [total - self.z[full - {i}] for i in range(1, n + 1)]
-        if any(lo > hi for lo, hi in zip(los, his)):
-            return frozenset()
-        lo_tail = [0] * (n + 1)
-        hi_tail = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            lo_tail[i] = lo_tail[i + 1] + los[i]
-            hi_tail[i] = hi_tail[i + 1] + his[i]
+        n, z = self.nvars, self._masks()
+        if not _is_supermodular(z, n):
+            raise ValueError("the support numbers are not supermodular")
         out = set()
-
-        def walk(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
-            if i == n:
-                if self.contains(prefix):
-                    out.add(prefix)
-                return
-            lo = max(los[i], remaining - hi_tail[i + 1])
-            hi = min(his[i], remaining - lo_tail[i + 1])
-            for v in range(lo, hi + 1):
-                walk(i + 1, remaining - v, prefix + (v,))
-
-        walk(0, total, ())
+        for order in permutations(range(n)):
+            t, mask = [0] * n, 0
+            for k in order:
+                t[k] = z[mask | 1 << k] - z[mask]
+                mask |= 1 << k
+            out.add(tuple(t))
         return frozenset(out)
 
     def to_json_dict(self) -> dict:
@@ -330,12 +400,9 @@ def gp_from_segment(seg: PositionPair, nvars: int) -> GeneralizedPermutahedron:
     if not (1 <= a < b <= nvars + 1):
         raise ValueError(f"segment ({a}, {b}) out of range for {nvars} vars")
     cells = frozenset(range(a, b))
-    z = {}
-    for r in range(nvars + 1):
-        for c in combinations(range(1, nvars + 1), r):
-            s = frozenset(c)
-            z[s] = 1 if cells <= s else 0
-    return GeneralizedPermutahedron(nvars, z)
+    return GeneralizedPermutahedron(
+        nvars, {s: int(cells <= s) for s in _mask_subsets(nvars)}
+    )
 
 
 def gp_from_inversions(w: Perm) -> GeneralizedPermutahedron:
@@ -347,14 +414,10 @@ def gp_from_inversions(w: Perm) -> GeneralizedPermutahedron:
     """
     w = validate(w)
     nvars = len(w) - 1
-    inv = sorted(inversions(w))
-    cells = [frozenset(range(a, b)) for a, b in inv]
-    z = {}
-    for r in range(nvars + 1):
-        for c in combinations(range(1, nvars + 1), r):
-            s = frozenset(c)
-            z[s] = sum(1 for cell in cells if cell <= s)
-    return GeneralizedPermutahedron(nvars, z)
+    cells = [frozenset(range(a, b)) for a, b in inversions(w)]
+    return GeneralizedPermutahedron(
+        nvars, {s: sum(cell <= s for cell in cells) for s in _mask_subsets(nvars)}
+    )
 
 
 # -- SNP and M-convexity ------------------------------------------------------
@@ -376,28 +439,79 @@ def compositions(total: int, parts: int):
             yield (v,) + rest
 
 
+def m_convex_certificate(
+    points: Iterable[LatticePoint],
+) -> GeneralizedPermutahedron | None:
+    """The base polytope whose integer points are exactly the points, or None.
+
+    With z(I) = min over the points of sum(p_i, i in I) for every subset I,
+    the points pass when they share one coordinate sum, z is supermodular,
+    and the polytope P(z) has no integer point outside the set (the set
+    always lies inside P(z)).  Why this is exact: P(z) is then an integral
+    base polytope, so its integer points, which are the set, are M-convex;
+    the set is every integer point of P(z), so conv(set) = P(z) and the set
+    has SNP; and the vertices of P(z) are its greedy points.  Conversely an
+    M-convex set is every integer point of its hull P(z) with z
+    supermodular, so it passes: None proves the set is not M-convex.
+
+    >>> sorted(m_convex_certificate({(2, 0), (1, 1), (0, 2)}).vertices())
+    [(0, 2), (2, 0)]
+    >>> m_convex_certificate({(2, 0), (0, 2)}) is None
+    True
+    """
+    pts = set(tuple(p) for p in points)
+    d = _check_point_dims(list(pts))
+    if len({sum(p) for p in pts}) != 1:
+        return None
+    coords = list(zip(*pts))
+    z = [0] * (1 << d)
+
+    def fill(mask: int, sums: list[int], start: int) -> None:
+        # subsets grow by coordinates above their largest, one list per depth
+        for k in range(start, d):
+            grown = list(map(add, sums, coords[k]))
+            z[mask | 1 << k] = min(grown)
+            fill(mask | 1 << k, grown, k + 1)
+
+    fill(0, [0] * len(pts), 0)
+    if not _is_supermodular(z, d) or any(
+        p not in pts for p in _base_points(z, d)
+    ):
+        return None
+    return GeneralizedPermutahedron(d, dict(zip(_mask_subsets(d), z)))
+
+
 def is_snp(f: SparsePolynomial) -> bool:
     """Does the support of f saturate its Newton polytope?
 
     True when every integer point of the convex hull of the support is
     itself a support point.  The zero polynomial is rejected; negative
-    coefficients only draw a warning, the definition still applies.
+    coefficients only draw a warning, the definition still applies.  A
+    support that passes `m_convex_certificate` is every integer point of
+    an integral polytope, its own hull, so it is SNP at once; any other
+    support is decided by exact hull membership of the candidate points.
     """
     supp = f.support()
     if not supp:
         raise ValueError("the zero polynomial has no Newton polytope")
     if any(c < 0 for _, c in f.items()):
         warnings.warn("polynomial has negative coefficients", stacklevel=2)
-    d = f.nvars
-    if d == 0 or len(supp) == 1:
+    if f.nvars == 0 or len(supp) == 1:
         return True
+    return m_convex_certificate(supp) is not None or _snp_by_hull(supp)
+
+
+def _snp_by_hull(supp: frozenset[LatticePoint]) -> bool:
+    """SNP by the simplex: no box point outside supp lies in its hull."""
+    d = len(next(iter(supp)))
     verts = hull_vertices(supp)
     los = [min(p[i] for p in supp) for i in range(d)]
     his = [max(p[i] for p in supp) for i in range(d)]
-    if f.is_homogeneous():
+    sums = {sum(p) for p in supp}
+    if len(sums) == 1:
         candidates = (
             c
-            for c in compositions(f.degree(), d)
+            for c in compositions(sums.pop(), d)
             if all(lo <= v <= hi for v, lo, hi in zip(c, los, his))
         )
     else:
@@ -413,8 +527,20 @@ def m_convex_failure(points: Iterable[LatticePoint]):
 
     Returns (alpha, beta, i): member alpha exceeds member beta in
     coordinate i (1-based) yet no coordinate j with alpha_j < beta_j makes
-    both alpha - e_i + e_j and beta - e_j + e_i members.
+    both alpha - e_i + e_j and beta - e_j + e_i members.  A set with more
+    points than coordinate subsets tries `m_convex_certificate` first:
+    passing proves M-convexity, and failing proves that the exchange-pair
+    loop, which then runs in its fixed order, finds a violation.  Smaller
+    sets go to the loop at once, which is the cheaper route for them.
     """
+    pts = sorted(set(tuple(p) for p in points))
+    if len(pts) > 1 << _check_point_dims(pts) and m_convex_certificate(pts) is not None:
+        return None
+    return _exchange_failure(pts)
+
+
+def _exchange_failure(points: Iterable[LatticePoint]):
+    """m_convex_failure by the exchange-pair loop alone, over all pairs."""
     pts = sorted(set(tuple(p) for p in points))
     d = _check_point_dims(pts)
     if len(pts) == 1:

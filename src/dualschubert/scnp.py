@@ -66,6 +66,7 @@ from .polytope import (
     gp_from_inversions,
     hull_vertices,
     is_snp,
+    m_convex_certificate,
     m_convex_failure,
 )
 from .tiling import vertices_via_tilings
@@ -266,8 +267,8 @@ def _unit_theorems(n: int, key: str) -> dict:
     fails: list[dict] = []
     dual = _dual_table_cached(n)[w]
     gw = global_weight(w)
-    supp = dual.support()
-    if supp != gw.support():
+    supp, gsupp = dual.support(), gw.support()
+    if supp != gsupp:
         fails.append({"kind": "support-mismatch", "w": key})
     e = identity(n)
     g = greedy_chain(e, w)
@@ -275,15 +276,18 @@ def _unit_theorems(n: int, key: str) -> dict:
         fails.append({"kind": "greedy-chain-not-greedy", "w": key})
     if chain_weight(g) != gw:
         fails.append({"kind": "greedy-weight-mismatch", "w": key})
-    if m_convex_failure(supp) is not None:
+    # one certificate proves M-convexity and SNP and gives the hull vertices;
+    # without it the support is not M-convex, and the exact routes decide the rest
+    cert = m_convex_certificate(supp)
+    if cert is None:
         fails.append({"kind": "support-not-m-convex", "w": key})
-    if not is_snp(dual):
+    if cert is None and not is_snp(dual):
         fails.append({"kind": "support-not-snp", "w": key})
     if gp_from_inversions(w).integer_points() != supp:
         fails.append({"kind": "polytope-points-mismatch", "w": key})
     vt = vertices_via_tilings(w)
     vc = gw.coeff_one_exponents()
-    vh = hull_vertices(gw.support())
+    vh = cert.vertices() if cert is not None and gsupp == supp else hull_vertices(gsupp)
     if not (vt == vc == vh):
         fails.append({"kind": "vertex-method-mismatch", "w": key})
     return {"pairs": 1, "fails": fails}

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -21,6 +23,7 @@ from dualschubert import (
     is_m_convex,
     is_snp,
     length,
+    m_convex_certificate,
     m_convex_failure,
     minkowski_support,
     newton_vertices_coeff1,
@@ -28,7 +31,9 @@ from dualschubert import (
     segment_rank,
 )
 from dualschubert.poly import SparsePolynomial
-from dualschubert.polytope import compositions
+from dualschubert.polytope import _exchange_failure, _snp_by_hull, compositions
+from dualschubert.scnp import support_table_above
+from dualschubert.tiling import vertices_via_tilings
 
 from oracles import hull_contains_bruteforce
 
@@ -259,3 +264,126 @@ def test_vertex_routes_agree_s4():
         assert newton_vertices_coeff1(w) == hull_vertices(
             global_weight(w).support()
         )
+
+
+# -- the supermodular certificate against the exchange loop and the simplex ------
+
+
+def random_point_set(rng):
+    """A small point set: scattered, on one hyperplane, or a permutahedron
+    with a point taken out or added; coordinates may be negative."""
+    d = rng.randrange(1, 5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return {
+            tuple(rng.randrange(-2, 3) for _ in range(d))
+            for _ in range(rng.randrange(1, 9))
+        }
+    if kind == 1:
+        total = rng.randrange(-2, 4)
+        pts = set()
+        for _ in range(rng.randrange(1, 12)):
+            head = [rng.randrange(-1, 3) for _ in range(d - 1)]
+            pts.add(tuple(head) + (total - sum(head),))
+        return pts
+    gp = GeneralizedPermutahedron(d, {})
+    for _ in range(rng.randrange(0, 3 * d + 3)):
+        a = rng.randrange(1, d + 1)
+        gp = gp + gp_from_segment((a, rng.randrange(a + 1, d + 2)), d)
+    shift = [rng.randrange(-2, 3) for _ in range(d)]
+    pts = {tuple(c + s for c, s in zip(p, shift)) for p in gp.integer_points()}
+    edit = rng.randrange(3)
+    if edit == 1 and len(pts) > 1:
+        pts.discard(rng.choice(sorted(pts)))
+    elif edit == 2:
+        pts.add(tuple(rng.randrange(-2, 4) for _ in range(d)))
+    return pts
+
+
+def test_certificate_matches_exchange_loop_random():
+    rng = random.Random(37)
+    seen = Counter()  # (passed, above the size gate)
+    for trial in range(3200):
+        pts = random_point_set(rng)
+        cert = m_convex_certificate(pts)
+        failure = _exchange_failure(pts)
+        assert (cert is None) == (failure is not None), sorted(pts)
+        assert m_convex_failure(pts) == failure
+        seen[cert is not None, len(pts) > 2 ** len(next(iter(pts)))] += 1
+        if cert is not None:
+            assert cert.integer_points() == pts
+            if trial % 8 == 0:
+                assert cert.vertices() == hull_vertices(pts)
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen
+
+
+def test_certificate_matches_exchange_loop_on_rank5_interval_supports():
+    sizes = set()
+    for u in all_perms(5):
+        for supp in support_table_above(u).values():
+            failure = _exchange_failure(supp)
+            assert failure is None
+            assert m_convex_certificate(supp) is not None
+            assert m_convex_failure(supp) is None
+            sizes.add(len(supp) > 2 ** 4)
+    assert sizes == {False, True}  # both sides of the size gate
+
+
+def test_is_snp_certificate_matches_hull_route_rank5():
+    for f in dual_schubert_table(5).values():
+        assert m_convex_certificate(f.support()) is not None
+        assert is_snp(f) and _snp_by_hull(f.support())
+
+
+def test_is_snp_falls_back_to_the_hull_route():
+    # SNP but not M-convex: no common coordinate sum
+    f = frac_poly(2, [(0, 0), (1, 0), (0, 1)])
+    assert m_convex_certificate(f.support()) is None
+    assert is_snp(f) and _snp_by_hull(f.support())
+
+
+def test_is_snp_by_certificate_still_warns_on_negative_coefficients():
+    f = SparsePolynomial(
+        2, {(2, 0): Fraction(1), (1, 1): Fraction(-3), (0, 2): Fraction(1)}
+    )
+    assert m_convex_certificate(f.support()) is not None
+    with pytest.warns(UserWarning):
+        assert is_snp(f)
+
+
+def test_greedy_vertices_match_hull_vertices_s5():
+    for w in all_perms(5):
+        supp = global_weight(w).support()
+        cert = m_convex_certificate(supp)
+        assert cert == gp_from_inversions(w)
+        assert cert.vertices() == hull_vertices(supp)
+
+
+def test_greedy_vertices_match_tilings_s6_sample():
+    rng = random.Random(41)
+    for w in rng.sample(sorted(all_perms(6)), 24) + [(6, 5, 4, 3, 2, 1)]:
+        cert = m_convex_certificate(global_weight(w).support())
+        assert cert.vertices() == vertices_via_tilings(w)
+
+
+def test_gp_vertices_reject_non_supermodular_tables():
+    # z({1}) + z({2}) = 2 > z({1, 2}) + z({}) = 1
+    p = GeneralizedPermutahedron(2, {frozenset({1}): 1, frozenset({2}): 1,
+                                     frozenset({1, 2}): 1})
+    with pytest.raises(ValueError):
+        p.vertices()
+    assert p.integer_points() == frozenset()
+    assert gp_from_segment((1, 3), 2).vertices() == frozenset({(1, 0), (0, 1)})
+
+
+def test_gp_integer_points_match_box_filter_random():
+    # any table, supermodular or not, against its own membership test
+    rng = random.Random(43)
+    for _ in range(300):
+        d = rng.randrange(0, 4)
+        p = GeneralizedPermutahedron(
+            d, {frozenset(s): rng.randrange(-2, 3)
+                for r in range(1, d + 1) for s in combinations(range(1, d + 1), r)}
+        )
+        box = product(range(-2 * d - 2, 2 * d + 3), repeat=d)
+        assert p.integer_points() == frozenset(t for t in box if p.contains(t))
