@@ -312,8 +312,8 @@ def _cmd_verify(args) -> int:
     if args.resume is not None:
         try:
             resume = json.loads(Path(args.resume).read_text())
-        except OSError as exc:
-            raise ValueError(f"cannot read resume file: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            raise ValueError(f"cannot read resume file {args.resume}: {exc}") from exc
 
     def progress(done: int, total: int, key: str) -> None:
         print(f"progress: {done}/{total} units (finished {key})", file=sys.stderr)
@@ -328,10 +328,12 @@ def _cmd_verify(args) -> int:
     )
     print(_dumps(report.to_json_dict()) if args.json else report.summary())
     if not report.complete:
-        print(
-            "budget exhausted; rerun with --resume on the checkpoint file",
-            file=sys.stderr,
+        hint = (
+            "rerun with --resume on the checkpoint file"
+            if args.checkpoint is not None
+            else "no checkpoint was written (pass --checkpoint FILE to resume later)"
         )
+        print(f"budget exhausted; {hint}", file=sys.stderr)
         return 0
     return 1 if report.counterexamples else 0
 

@@ -12,10 +12,11 @@ The weight of a saturated chain is the product, over its labels (a, b), of
 the segment polynomial x_a + x_{a+1} + ... + x_{b-1}; the global weight of a
 permutation takes that product over its inversion set instead.  Averaging
 chain weights over all saturated chains of [u, w] (dividing by r! where r is
-the number of steps) gives the interval's weight polynomial; the same value
-is computed much faster by one fold over the interval that splits each chain
-at its last cover (`bruhat._interval_fold`); `postnikov_stanley_dp` and
-`dual_schubert_table` share its coefficient step.
+the number of steps) gives the interval's weight polynomial.  One integer
+step, `_times_segment`, makes every segment product: of one chain, and of the
+fold `_count_table`, which splits each chain of an interval at its last cover
+and sums chain weights with integer coefficients; those sums are divided by
+r! once, when a polynomial is read out.
 """
 
 from __future__ import annotations
@@ -209,6 +210,23 @@ class SparsePolynomial:
 # -- segment and chain weights ----------------------------------------------
 
 
+def _times_segment(terms: dict, a: int, b: int, out: dict) -> dict:
+    """Add terms * (x_a + ... + x_{b-1}) into out, exponent -> int coefficient."""
+    for i in range(a - 1, b - 1):
+        for e, c in terms.items():
+            k = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            out[k] = out.get(k, 0) + c
+    return out
+
+
+def _segment_product(segs, nvars: int) -> SparsePolynomial:
+    """The product of the segment polynomials of the labels segs, in order."""
+    terms = {(0,) * nvars: 1}
+    for a, b in segs:
+        terms = _times_segment(terms, a, b, {})
+    return SparsePolynomial(nvars, terms)
+
+
 def segment_poly(seg: PositionPair, nvars: int) -> SparsePolynomial:
     """x_a + x_{a+1} + ... + x_{b-1} for a label (a, b) with b <= nvars + 1.
 
@@ -218,11 +236,7 @@ def segment_poly(seg: PositionPair, nvars: int) -> SparsePolynomial:
     a, b = seg
     if not (1 <= a < b <= nvars + 1):
         raise ValueError(f"segment ({a}, {b}) out of range for {nvars} vars")
-    terms = {}
-    for i in range(a, b):
-        exp = tuple(1 if j == i else 0 for j in range(1, nvars + 1))
-        terms[exp] = Fraction(1)
-    return SparsePolynomial(nvars, terms)
+    return _segment_product([seg], nvars)
 
 
 def chain_weight(chain: SaturatedChain) -> SparsePolynomial:
@@ -230,11 +244,7 @@ def chain_weight(chain: SaturatedChain) -> SparsePolynomial:
 
     The trivial chain has weight 1.
     """
-    nvars = len(chain.start) - 1
-    out = SparsePolynomial.one(nvars)
-    for lab in chain.labels:
-        out = out * segment_poly(lab, nvars)
-    return out
+    return _segment_product(chain.labels, len(chain.start) - 1)
 
 
 def global_weight(w: Perm) -> SparsePolynomial:
@@ -244,11 +254,7 @@ def global_weight(w: Perm) -> SparsePolynomial:
     'x1^2*x2 + x1*x2^2'
     """
     w = validate(w)
-    nvars = len(w) - 1
-    out = SparsePolynomial.one(nvars)
-    for seg in sorted(inversions(w)):
-        out = out * segment_poly(seg, nvars)
-    return out
+    return _segment_product(sorted(inversions(w)), len(w) - 1)
 
 
 # -- interval weight polynomials ---------------------------------------------
@@ -269,31 +275,39 @@ def postnikov_stanley_chainsum(u: Perm, w: Perm) -> SparsePolynomial:
     return total * Fraction(1, factorial(length(w) - length(u)))
 
 
-def _coefficient_table(u: Perm, w: Perm) -> dict[Perm, SparsePolynomial]:
-    """The interval weight polynomial of [u, v] for every v in [u, w]."""
-    nvars, base = len(w) - 1, length(u)
+def _count_table(u: Perm, w: Perm) -> dict[Perm, dict]:
+    """Every v in [u, w] -> the sum of the chain weights of [u, v], as int terms.
 
-    def step(v: Perm, below) -> SparsePolynomial:
-        acc = SparsePolynomial.zero(nvars)
-        for prev, lab in below:
-            acc = acc + prev * segment_poly(lab, nvars)
-        return acc * Fraction(1, length(v) - base)
+    Every coefficient is positive, so nothing cancels: the keys of a sum are
+    the union of the keys, and a segment step Minkowski-adds the segment to
+    them.  The keys are therefore the support of [u, v].
+    """
 
-    return bruhat._interval_fold(u, w, SparsePolynomial.one(nvars), step)
+    def step(v: Perm, below) -> dict:
+        out: dict = {}
+        for prev, (a, b) in below:
+            _times_segment(prev, a, b, out)
+        return out
+
+    return bruhat._interval_fold(u, w, {(0,) * (len(w) - 1): 1}, step)
+
+
+def _read_out(counts: dict, steps: int, nvars: int) -> SparsePolynomial:
+    """A chain-weight sum over an interval of that many steps, divided by steps!."""
+    d = factorial(steps)
+    return SparsePolynomial(nvars, {e: Fraction(c, d) for e, c in counts.items()})
 
 
 def postnikov_stanley_dp(u: Perm, w: Perm) -> SparsePolynomial:
     """Interval weight polynomial by dynamic programming.
 
     Splitting every chain at its final cover gives, for each v in (u, w],
-
-        D(v) = (1 / (length(v) - length(u))) * sum over covers v' < v in
-               [u, w] of D(v') * segment(label(v', v)),
-
-    with D(u) = 1.  Runs over the interval in increasing length order.
+    the chain-weight sum C(v) = sum over covers v' < v in [u, w] of
+    C(v') * segment(label(v', v)), with C(u) = 1, in increasing length
+    order (`_count_table`).  The polynomial is C(w) / (length(w) - length(u))!.
     """
     u, w = bruhat._require_below(u, w)
-    return _coefficient_table(u, w)[w]
+    return _read_out(_count_table(u, w)[w], length(w) - length(u), len(w) - 1)
 
 
 def dual_schubert(w: Perm) -> SparsePolynomial:
@@ -312,4 +326,5 @@ def dual_schubert_table(n: int) -> dict[Perm, SparsePolynomial]:
     One pass in increasing length order costs what a single call for the
     longest element would, so exhaustive rank sweeps use this.
     """
-    return _coefficient_table(identity(n), longest_element(n))
+    table = _count_table(identity(n), longest_element(n))
+    return {v: _read_out(c, length(v), n - 1) for v, c in table.items()}

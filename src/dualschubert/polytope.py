@@ -170,19 +170,11 @@ def hull_vertices(points: Iterable[tuple]) -> frozenset[tuple]:
 # -- supports and their polytopes ---------------------------------------------
 
 
-def _msum_segment(pts: Iterable[LatticePoint], a: int, b: int) -> frozenset:
-    """Minkowski-add the segment {e_a, ..., e_{b-1}} to a point set."""
-    out = set()
-    for p in pts:
-        for i in range(a - 1, b - 1):
-            out.add(p[:i] + (p[i] + 1,) + p[i + 1 :])
-    return frozenset(out)
-
-
 def minkowski_support(w: Perm) -> frozenset[LatticePoint]:
     """Minkowski sum, over the inversions (a, b) of w, of {e_a, ..., e_{b-1}}.
 
-    Equals the support of the global weight polynomial term for term.
+    Equals the support of the global weight polynomial term for term.  Tests
+    use this set route as a reference independent of `poly`'s segment step.
 
     >>> sorted(minkowski_support((3, 2, 1)))
     [(1, 2), (2, 1)]
@@ -190,7 +182,9 @@ def minkowski_support(w: Perm) -> frozenset[LatticePoint]:
     w = validate(w)
     pts: frozenset[LatticePoint] = frozenset({(0,) * (len(w) - 1)})
     for a, b in sorted(inversions(w)):
-        pts = _msum_segment(pts, a, b)
+        pts = frozenset(
+            p[:i] + (p[i] + 1,) + p[i + 1 :] for p in pts for i in range(a - 1, b - 1)
+        )
     return pts
 
 

@@ -13,11 +13,10 @@ agree on the n(n-1)/2 segments {i, ..., j-1}.  Counts only grow along a
 chain: a prefix exceeding z_T on a segment is cut, and a chain reaching w is
 dominant.  The greedy chain is tried first, then a DFS over (node, counts).
 
-Supports are computed by the same cover-split fold over the interval as the
-coefficients (`bruhat._interval_fold`), with a union step: the support of a
-cover step is the segment {e_a, ..., e_{b-1}}, and unions over last covers
-replace the rational coefficient arithmetic.  Tests pin this against the
-coefficient-level dynamic program.
+Supports are the key sets of the integer chain-weight sums that also give
+the coefficients (`poly._count_table`): every coefficient is positive, so
+the keys are exactly the support.  Tests pin this against a set-union
+dynamic program and against the rational coefficients.
 
 The rank sweeps walk the whole symmetric group.  `SWEEPS` maps each mode
 to a unit (one base permutation) and a merge; `verify_ps_mconvex`,
@@ -60,9 +59,8 @@ from .perm import (
     up_covers,
     validate,
 )
-from .poly import chain_weight, dual_schubert_table, global_weight
+from .poly import _count_table, chain_weight, dual_schubert_table, global_weight
 from .polytope import (
-    _msum_segment,
     gp_from_inversions,
     hull_vertices,
     is_snp,
@@ -137,31 +135,21 @@ class ConjectureReport:
 # -- support dynamic programs -------------------------------------------------
 
 
-def _union_step(v: Perm, below) -> frozenset:
-    """The fold step of the support DP: union over last covers."""
-    acc: set = set()
-    for prev, (a, b) in below:
-        acc |= _msum_segment(prev, a, b)
-    return frozenset(acc)
-
-
 def ps_support(u: Perm, w: Perm) -> frozenset:
-    """Support of the interval weight polynomial of [u, w], by union DP."""
+    """Support of the interval weight polynomial of [u, w]: its count table's keys."""
     u, w = validate(u), validate(w)
     if not bruhat_leq(u, w):
         raise ValueError(
             f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
         )
-    origin = frozenset({(0,) * (len(u) - 1)})
-    return bruhat._interval_fold(u, w, origin, _union_step)[w]
+    return frozenset(_count_table(u, w)[w])
 
 
 def support_table_above(u: Perm) -> dict[Perm, frozenset]:
     """ps_support(u, v) for every v above u in its symmetric group."""
     u = validate(u)
-    n = len(u)
-    origin = frozenset({(0,) * (n - 1)})
-    return bruhat._interval_fold(u, longest_element(n), origin, _union_step)
+    table = _count_table(u, longest_element(len(u)))
+    return {v: frozenset(c) for v, c in table.items()}
 
 
 # -- the single-chain decision -------------------------------------------------

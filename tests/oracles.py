@@ -167,6 +167,20 @@ def add_segment(points, a, b):
     )
 
 
+def support_table_by_union(u):
+    """Support of [u, v] for every v >= u, by a set-union DP over brute-force covers.
+
+    Pushes each support up every cover in increasing length order: the
+    support of [u, v] is the union, over covers x < v above u with label
+    (a, b), of the support of [u, x] plus the segment {e_a, ..., e_{b-1}}.
+    """
+    table = {u: frozenset({(0,) * (len(u) - 1)})}
+    for x in sorted(_upset(u), key=inversion_count):
+        for (a, b), v in covers_bruteforce(x):
+            table[v] = table.get(v, frozenset()) | add_segment(table[x], a, b)
+    return table
+
+
 def dominant_chain_by_sets(u, w, target):
     """A chain from u to w whose support is the point set target, or None.
 

@@ -253,6 +253,29 @@ def test_verify_missing_resume_file_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: cannot read resume file")
 
 
+@pytest.mark.parametrize(
+    "content", [b"not json at all", b"\xff\xfe\x00binary"], ids=["text", "binary"]
+)
+def test_verify_unreadable_resume_file_names_the_file(capsys, tmp_path, content):
+    ckpt = tmp_path / "sweep.json"
+    ckpt.write_bytes(content)
+    rc, _, err = run(
+        capsys, "verify", "--mode", "ps-mconvex", "--n", "3", "--resume", str(ckpt)
+    )
+    assert rc == 2
+    assert err.startswith(f"error: cannot read resume file {ckpt}: ")
+
+
+def test_verify_budget_without_checkpoint_says_none_was_written(capsys):
+    rc, out, err = run(
+        capsys, "verify", "--mode", "ps-mconvex", "--n", "3", "--budget", "0"
+    )
+    assert rc == 0
+    assert "complete         no (resumable)" in out
+    assert "budget exhausted; no checkpoint was written" in err
+    assert "--resume" not in err
+
+
 def test_verify_checkpoint_in_missing_directory_is_usage_error(capsys, tmp_path):
     rc, _, err = run(
         capsys,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -14,4 +15,11 @@ MODULES = [perm, bruhat, poly, polytope, tiling, scnp]
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_doctests(module):
     result = doctest.testmod(module)
+    assert result.failed == 0
+
+
+def test_readme_quick_start():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0
     assert result.failed == 0

@@ -14,10 +14,13 @@ from dualschubert import (
     chain_weight,
     dual_schubert,
     dual_schubert_table,
+    enumerate_chains,
     global_weight,
     greedy_chain,
     identity,
+    inversions,
     length,
+    longest_element,
     postnikov_stanley_chainsum,
     postnikov_stanley_dp,
     segment_poly,
@@ -139,6 +142,26 @@ def test_segment_poly():
         segment_poly((2, 2), 3)
     with pytest.raises(ValueError):
         segment_poly((1, 5), 3)
+
+
+def generic_segment_product(labels, nvars):
+    """Segment forms summed from variables, multiplied by SparsePolynomial.__mul__."""
+    out = SparsePolynomial.one(nvars)
+    for a, b in labels:
+        seg = SparsePolynomial.zero(nvars)
+        for i in range(a, b):
+            seg = seg + SparsePolynomial.variable(i, nvars)
+        out = out * seg
+    return out
+
+
+def test_segment_products_match_generic_product():
+    chains = list(enumerate_chains(identity(4), longest_element(4)))
+    assert len(chains) > 1
+    for chain in chains:
+        assert chain_weight(chain) == generic_segment_product(chain.labels, 3)
+    for w in all_perms(5):
+        assert global_weight(w) == generic_segment_product(sorted(inversions(w)), 4)
 
 
 def test_chain_weight_fixtures():

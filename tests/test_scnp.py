@@ -28,7 +28,7 @@ from dualschubert import (
 )
 from dualschubert import scnp
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
-from oracles import add_segment, dominant_chain_by_sets
+from oracles import add_segment, dominant_chain_by_sets, support_table_by_union
 
 
 def comparable_pairs(n):
@@ -44,6 +44,11 @@ def test_pattern_constants():
 def test_ps_support_matches_polynomial_route_s4():
     for u, w in comparable_pairs(4):
         assert ps_support(u, w) == postnikov_stanley_dp(u, w).support()
+
+
+def test_support_table_above_matches_union_oracle_s5():
+    for u in all_perms(5):
+        assert support_table_above(u) == support_table_by_union(u)
 
 
 def test_support_table_above_matches_pointwise():
