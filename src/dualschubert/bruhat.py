@@ -131,16 +131,17 @@ def interval_elements(u: Perm, w: Perm) -> frozenset[Perm]:
     return frozenset(interval_covers(u, w))
 
 
-def _interval_fold(u: Perm, w: Perm, one, step) -> dict:
+def _interval_fold(u: Perm, w: Perm, one, step, covers=None) -> dict:
     """Cover-split fold over [u, w]: split each chain at its last cover.
 
     Runs in increasing length order: table[u] = one, and for every other v
     in the interval, table[v] = step(v, [(table[v2], label) for each cover
-    v2 < v in [u, w]]).  Callers check u <= w first.
+    v2 < v in [u, w]]).  Callers check u <= w first, and pass `covers` when
+    they already hold interval_covers(u, w).
     """
     # Private so that tracers wrapping the public API book each step's work
     # to the calling layer, not to this one.
-    covers = interval_covers(u, w)
+    covers = interval_covers(u, w) if covers is None else covers
     table = {u: one}
     for v in sorted(covers, key=lambda p: (length(p), p)):
         if v != u:

@@ -10,8 +10,9 @@ C lies inside T, the weight being a positive sum of chain weights, so z_T <=
 z_C for z_T(I) = min over t in T of sum(t_i, i in I).  z_C is additive over
 the maximal segments of I and z_T superadditive, so C = T exactly when they
 agree on the n(n-1)/2 segments {i, ..., j-1}.  Counts only grow along a
-chain: a prefix exceeding z_T on a segment is cut, and a chain reaching w is
-dominant.  The greedy chain is tried first, then a DFS over (node, counts).
+chain: a prefix exceeding z_T on a segment is cut.  `is_scnp` reads z_T off
+the support, tries the greedy chain for its witness, then a DFS over (node,
+counts); the scnp-pattern sweep uses floors alone (`_floor_fold`).
 
 Supports are the key sets of the integer chain-weight sums that also give
 the coefficients (`poly._count_table`): every coefficient is positive, so
@@ -40,12 +41,12 @@ from functools import lru_cache
 from itertools import accumulate
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import wait
-from operator import add, gt
+from operator import add, gt, le
 from pathlib import Path
 from typing import Callable
 
 from . import bruhat
-from .bruhat import SaturatedChain, greedy_chain, is_greedy, trivial_chain
+from .bruhat import SaturatedChain, greedy_chain, is_greedy
 from .perm import (
     Perm,
     all_perms,
@@ -200,13 +201,52 @@ def _scnp_search(u: Perm, w: Perm, z: tuple, examined: int) -> ScnpVerdict:
 
 
 def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
-    if u == w:
-        return ScnpVerdict(True, trivial_chain(u), 1)
     z = _segment_floors(target, len(u))
     g = greedy_chain(u, w)
     if _label_counts(g.labels, len(u)) == z:
         return ScnpVerdict(True, g, 1)
     return _scnp_search(u, w, z, examined=1)
+
+
+def _floor_fold(u: Perm) -> tuple[dict, dict]:
+    """interval_covers(u, w0), and z_T per segment for the support T of each [u, v].
+
+    T is the union of the chains' supports, each the Minkowski sum of its
+    label simplices.  A linear form's minimum over a union is the least of
+    the minima, over a Minkowski sum the sum of the minima, and a segment
+    form's minimum over a label simplex is that label's 0/1 step: z_T is a
+    min-plus fold over last covers.
+    """
+    w = longest_element(len(u))
+    steps, covers = _label_steps(len(u)), bruhat.interval_covers(u, w)
+
+    def step(v, below):
+        return tuple(map(min, zip(*(map(add, z, steps[lab]) for z, lab in below))))
+
+    return covers, bruhat._interval_fold(u, w, (0,) * len(steps), step, covers)
+
+
+def _floor_path(covers: dict, u: Perm, v: Perm, floors: dict) -> tuple | None:
+    """Labels, from u up, of a dominant chain u -> v, or None: a DFS down from v.
+
+    A partial chain x -> v with counts `top` is cut when seen before, or when
+    top + floors[x] exceeds floors[v] on a segment: floors[x] is the least
+    count of any chain from u to x.  At u, top is floors[v].
+    """
+    steps, cap, seen = _label_steps(len(u)), floors[v], set()
+
+    def dfs(x, top):
+        if x == u:
+            return ()
+        for x2, lab in covers[x]:
+            t2 = tuple(map(add, top, steps[lab]))
+            if (x2, t2) not in seen and all(map(le, map(add, t2, floors[x2]), cap)):
+                seen.add((x2, t2))
+                if (found := dfs(x2, t2)) is not None:
+                    return found + (lab,)
+        return None
+
+    return dfs(v, (0,) * len(cap))
 
 
 def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
@@ -228,26 +268,19 @@ def _dual_table_cached(n: int):
     return dual_schubert_table(n)
 
 
-def _failing_above(key: str, fails: Callable[[Perm, Perm, frozenset], bool]) -> dict:
-    """The unit for u = key: pairs u <= v, and each v (by length) that fails."""
-    u = parse_perm(key)
-    table = support_table_above(u)
-    return {
-        "pairs": len(table),
-        "fails": [
-            format_perm(v)
-            for v in sorted(table, key=lambda p: (length(p), p))
-            if fails(u, v, table[v])
-        ],
-    }
-
-
 def _unit_ps_mconvex(n: int, key: str) -> dict:
-    return _failing_above(key, lambda u, v, supp: m_convex_failure(supp) is not None)
+    table = support_table_above(parse_perm(key))
+    ordered = sorted(table, key=lambda p: (length(p), p))
+    fails = [v for v in ordered if m_convex_failure(table[v]) is not None]
+    return {"pairs": len(table), "fails": [format_perm(v) for v in fails]}
 
 
 def _unit_scnp_pattern(n: int, key: str) -> dict:
-    return _failing_above(key, lambda u, v, supp: not _scnp_decide(u, v, supp).holds)
+    u = parse_perm(key)
+    covers, floors = _floor_fold(u)
+    ordered = sorted(covers, key=lambda p: (length(p), p))
+    fails = [v for v in ordered if _floor_path(covers, u, v, floors) is None]
+    return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 
 def _unit_theorems(n: int, key: str) -> dict:
@@ -410,7 +443,8 @@ def _sweep(
     min(jobs, pending units, usable CPUs) is 1, else on that many worker
     processes.  The checkpoint is written before the first unit and after
     every unit.  Once the budget has run out no further result is awaited
-    and the report is partial, with a resume token.  Leaving the loop, on
+    and the report is partial, with a resume token.  A worker that dies
+    raises RuntimeError naming its unit and exit code.  Leaving the loop, on
     budget or on error, terminates the worker processes.
     """
     if jobs < 1:
@@ -441,14 +475,14 @@ def _sweep(
         _write_checkpoint(checkpoint_path, token())
     workers = min(jobs, len(pending), _usable_cpus())
     todo = iter(pending)
-    procs, held = [], {}  # the worker processes, and the key each is running
+    procs, held = {}, {}  # each pipe's worker, and the unit it is running
     try:
         # Each worker is sent its next unit only when it returns one: with
         # units queued ahead, the sweep's pace varied more from run to run.
         for _ in range(workers if workers > 1 else 0):
             conn, child = Pipe()
-            procs.append(Process(target=_serve, args=(child, mode, n), daemon=True))
-            procs[-1].start()
+            procs[conn] = Process(target=_serve, args=(child, mode, n), daemon=True)
+            procs[conn].start()
             child.close()
             held[conn] = next(todo)
             conn.send(held[conn])
@@ -460,7 +494,12 @@ def _sweep(
                 key = next(todo)
                 record = _run_unit(mode, n, key)
             elif ready := wait(list(held), left):
-                record, failure = ready[0].recv()  # EOFError if the worker died
+                try:
+                    record, failure = ready[0].recv()
+                except EOFError:  # the worker died
+                    procs[ready[0]].join()
+                    raise RuntimeError(f"the worker running unit {held[ready[0]]} died"
+                                       f" with exit code {procs[ready[0]].exitcode}")
                 if failure is not None:
                     raise record from RuntimeError(f"in a worker process:\n{failure}")
                 key = held.pop(ready[0])
@@ -475,7 +514,7 @@ def _sweep(
             if progress is not None:
                 progress(len(done), len(keys), key)
     finally:
-        for proc in procs:
+        for proc in procs.values():
             proc.terminate()
             proc.join()
     final = token()

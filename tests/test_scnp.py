@@ -4,21 +4,27 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
+from itertools import accumulate
 
 import pytest
 
 from dualschubert import (
+    SaturatedChain,
     all_perms,
+    apply_t,
     bruhat_leq,
     chain_weight,
     dual_schubert_table,
     enumerate_chains,
+    format_perm,
     greedy_chain,
     identity,
     is_scnp,
     is_snp,
     length,
+    parse_perm,
     postnikov_stanley_dp,
     ps_support,
     support_table_above,
@@ -100,19 +106,53 @@ def test_count_criterion_matches_chain_supports_s4():
             assert dominant == (scnp._label_counts(chain.labels, 4) == floors)
 
 
+def floor_chain(u, labels):
+    """The saturated chain that climbs from u by the given labels."""
+    return SaturatedChain(tuple(accumulate(labels, lambda v, lab: apply_t(v, *lab),
+                                           initial=u)), labels)
+
+
+def reference_unit(table, holds):
+    """The scnp-pattern unit record for a support table, given each verdict."""
+    fails = [v for v in sorted(table, key=lambda p: (length(p), p)) if not holds[v]]
+    return {"pairs": len(table), "fails": [format_perm(v) for v in fails]}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_count_route_matches_set_oracle(n):
     for u in all_perms(n):
-        for w, target in support_table_above(u).items():
+        table = support_table_above(u)
+        covers, floors = scnp._floor_fold(u)
+        assert floors.keys() == table.keys()
+        holds = {}
+        for w, target in table.items():
+            assert floors[w] == scnp._segment_floors(target, n)
             verdict = scnp._scnp_decide(u, w, target)
+            holds[w] = verdict.holds
             assert verdict.holds == (dominant_chain_by_sets(u, w, target) is not None)
             if verdict.holds:
                 assert chain_weight(verdict.witness).support() == target
+            path = scnp._floor_path(covers, u, w, floors)
+            assert (path is not None) == verdict.holds
+            if path is not None:
+                assert chain_weight(floor_chain(u, path)).support() == target
+        key = format_perm(u)
+        assert scnp._run_unit("scnp-pattern", n, key) == reference_unit(table, holds)
+
+
+@pytest.mark.parametrize("key", ["132456", "214365"])
+def test_floor_unit_matches_reference_rank6(key):
+    u = parse_perm(key)
+    table = support_table_above(u)
+    holds = {v: scnp._scnp_decide(u, v, target).holds for v, target in table.items()}
+    reference = reference_unit(table, holds)
+    assert scnp._run_unit("scnp-pattern", 6, key) == reference
 
 
 def test_count_route_matches_set_oracle_rank6_sample():
     u = (1, 3, 2, 4, 5, 6)
     table = support_table_above(u)
+    covers, floors = scnp._floor_fold(u)
 
     def greedy_support(w):
         support = frozenset({(0,) * 5})
@@ -126,6 +166,10 @@ def test_count_route_matches_set_oracle_rank6_sample():
     for w in sample:
         verdict = scnp._scnp_decide(u, w, table[w])
         assert verdict.holds == (dominant_chain_by_sets(u, w, table[w]) is not None)
+        path = scnp._floor_path(covers, u, w, floors)
+        assert (path is not None) == verdict.holds
+        if path is not None:
+            assert chain_weight(floor_chain(u, path)).support() == table[w]
 
 
 def test_is_scnp_rejects_bad_pairs():
@@ -291,6 +335,28 @@ def test_unit_error_in_a_worker_reaches_the_caller(monkeypatch):
         verify_scnp_pattern(4, jobs=2)
     assert "in a worker process" in str(info.value.__cause__)
     assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_is_named_and_finished_units_kept(monkeypatch, tmp_path):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched unit only when forked")
+    serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
+    verify_scnp_pattern(4, checkpoint_path=serial_path)
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+    run_unit = scnp._run_unit
+
+    def dying(mode, n, key):
+        if key == "2134":
+            os._exit(9)
+        return run_unit(mode, n, key)
+
+    monkeypatch.setattr(scnp, "_run_unit", dying)
+    with pytest.raises(RuntimeError, match="unit 2134 died with exit code 9"):
+        verify_scnp_pattern(4, jobs=2, checkpoint_path=path)
+    assert multiprocessing.active_children() == []
+    done, serial = checkpoint_done(path), checkpoint_done(serial_path)
+    assert done and "2134" not in done
+    assert done == {key: serial[key] for key in done}
 
 
 def test_single_usable_cpu_runs_serially(monkeypatch):
