@@ -417,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds; exceeding it yields a"
-                        " partial, resumable report")
+                        " partial, resumable report; an in-process run"
+                        " (--jobs 1) first finishes the unit it is running,"
+                        " up to about 2 min at rank 7")
     p.add_argument("--checkpoint", default=None,
                    help="write resume state to this file after each unit")
     p.add_argument("--resume", default=None,

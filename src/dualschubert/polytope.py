@@ -22,9 +22,10 @@ i in I).  S is M-convex exactly when z_S is supermodular and S is every
 integer point of the polytope z_S defines (Murota, "Discrete Convex
 Analysis", 2003); that polytope is then conv(S), and its vertices are its
 greedy points (Edmonds, "Submodular functions, matroids, and certain
-polyhedra", 1970).  `m_convex_certificate` checks this, and `is_snp`,
-`m_convex_failure` and the paper-theorems sweep try it before the simplex
-or the exchange-pair loop, which run only when it fails.
+polyhedra", 1970).  `m_convex_certificate` checks this.  It alone decides
+M-convexity; `is_snp` and the paper-theorems sweep try it before the
+simplex, and the exchange-pair loop runs only to name a rejected set's
+witness.
 """
 
 from __future__ import annotations
@@ -521,16 +522,12 @@ def m_convex_failure(points: Iterable[LatticePoint]):
 
     Returns (alpha, beta, i): member alpha exceeds member beta in
     coordinate i (1-based) yet no coordinate j with alpha_j < beta_j makes
-    both alpha - e_i + e_j and beta - e_j + e_i members.  A set with more
-    points than coordinate subsets tries `m_convex_certificate` first:
-    passing proves M-convexity, and failing proves that the exchange-pair
-    loop, which then runs in its fixed order, finds a violation.  Smaller
-    sets go to the loop at once, which is the cheaper route for them.
+    both alpha - e_i + e_j and beta - e_j + e_i members.  The certificate
+    decides; only a set it rejects runs the exchange-pair loop, in its
+    fixed order, for the witness.
     """
-    pts = sorted(set(tuple(p) for p in points))
-    if len(pts) > 1 << _check_point_dims(pts) and m_convex_certificate(pts) is not None:
-        return None
-    return _exchange_failure(pts)
+    points = list(points)
+    return None if m_convex_certificate(points) is not None else _exchange_failure(points)
 
 
 def _exchange_failure(points: Iterable[LatticePoint]):
@@ -578,14 +575,14 @@ def _exchange_failure(points: Iterable[LatticePoint]):
 
 
 def is_m_convex(points: Iterable[LatticePoint]) -> bool:
-    """Exchange axiom over all pairs; see m_convex_failure.
+    """Does the set satisfy the exchange axiom?  Decided by m_convex_certificate.
 
     >>> is_m_convex({(2, 1), (1, 2)})
     True
     >>> is_m_convex({(2, 0), (0, 2)})
     False
     """
-    return m_convex_failure(points) is None
+    return m_convex_certificate(points) is not None
 
 
 def newton_vertices_coeff1(w: Perm) -> frozenset[ExponentVector]:

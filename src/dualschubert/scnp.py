@@ -60,7 +60,7 @@ from .perm import (
     up_covers,
     validate,
 )
-from .poly import _count_table, chain_weight, dual_schubert_table, global_weight
+from .poly import _count_table, chain_weight, dual_schubert, global_weight
 from .polytope import (
     gp_from_inversions,
     hull_vertices,
@@ -264,8 +264,8 @@ def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
 
 
 @lru_cache(maxsize=2)
-def _dual_table_cached(n: int):
-    return dual_schubert_table(n)
+def _supports_cached(n: int) -> dict[Perm, frozenset]:
+    return support_table_above(identity(n))
 
 
 def _unit_ps_mconvex(n: int, key: str) -> dict:
@@ -286,9 +286,8 @@ def _unit_scnp_pattern(n: int, key: str) -> dict:
 def _unit_theorems(n: int, key: str) -> dict:
     w = parse_perm(key)
     fails: list[dict] = []
-    dual = _dual_table_cached(n)[w]
     gw = global_weight(w)
-    supp, gsupp = dual.support(), gw.support()
+    supp, gsupp = _supports_cached(n)[w], gw.support()
     if supp != gsupp:
         fails.append({"kind": "support-mismatch", "w": key})
     e = identity(n)
@@ -302,7 +301,7 @@ def _unit_theorems(n: int, key: str) -> dict:
     cert = m_convex_certificate(supp)
     if cert is None:
         fails.append({"kind": "support-not-m-convex", "w": key})
-    if cert is None and not is_snp(dual):
+    if cert is None and not is_snp(dual_schubert(w)):
         fails.append({"kind": "support-not-snp", "w": key})
     if gp_from_inversions(w).integer_points() != supp:
         fails.append({"kind": "polytope-points-mismatch", "w": key})
@@ -379,12 +378,12 @@ def _run_unit(mode: str, n: int, key: str) -> dict:
 # -- sweep driver ----------------------------------------------------------------
 
 
-def _write_checkpoint(path, token: dict) -> None:
+def _write_checkpoint(path, text: str) -> None:
     """Replace the checkpoint atomically; a crash keeps the previous one."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(json.dumps(token))
+        tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
@@ -462,17 +461,20 @@ def _sweep(
         prior = float(resume.get("elapsed", 0.0))
     pending = [k for k in keys if k not in done]
     start = time.monotonic()
+    # each record is serialized once, and a write joins them: the file's
+    # text is json.dumps of the token {mode, n, elapsed, done}
+    records = [f"{json.dumps(k)}: {json.dumps(r)}" for k, r in done.items()]
 
-    def token() -> dict:
-        return {
-            "mode": mode,
-            "n": n,
-            "elapsed": prior + (time.monotonic() - start),
-            "done": done,
-        }
+    def save() -> float:
+        """Write the checkpoint, if any; return the elapsed time it holds."""
+        elapsed = prior + (time.monotonic() - start)
+        if checkpoint_path is not None:
+            head = json.dumps({"mode": mode, "n": n, "elapsed": elapsed})[:-1]
+            text = head + ', "done": {' + ", ".join(records) + "}}"
+            _write_checkpoint(checkpoint_path, text)
+        return elapsed
 
-    if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, token())
+    save()
     workers = min(jobs, len(pending), _usable_cpus())
     todo = iter(pending)
     procs, held = {}, {}  # each pipe's worker, and the unit it is running
@@ -509,20 +511,18 @@ def _sweep(
             else:
                 break
             done[key] = record
-            if checkpoint_path is not None:
-                _write_checkpoint(checkpoint_path, token())
+            records.append(f"{json.dumps(key)}: {json.dumps(record)}")
+            save()
             if progress is not None:
                 progress(len(done), len(keys), key)
     finally:
         for proc in procs.values():
             proc.terminate()
             proc.join()
-    final = token()
-    if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, final)
+    elapsed = save()
     pairs = sum(done[k]["pairs"] for k in keys if k in done)
-    elapsed = final["elapsed"]
     if any(k not in done for k in keys):
+        final = {"mode": mode, "n": n, "elapsed": elapsed, "done": done}
         return ConjectureReport(
             mode, n, pairs, [], elapsed, complete=False, resume_token=final
         )

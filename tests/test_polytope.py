@@ -30,6 +30,7 @@ from dualschubert import (
     segment_poly,
     segment_rank,
 )
+from dualschubert import polytope
 from dualschubert.poly import SparsePolynomial
 from dualschubert.polytope import _exchange_failure, _snp_by_hull, compositions
 from dualschubert.scnp import support_table_above
@@ -237,6 +238,16 @@ def test_m_convex_failure_witness_is_valid():
     assert alpha[i - 1] > beta[i - 1]
 
 
+def test_m_convexity_is_decided_by_the_certificate_alone(monkeypatch):
+    def loop(points):
+        raise AssertionError("the exchange-pair loop ran")
+
+    monkeypatch.setattr(polytope, "_exchange_failure", loop)
+    assert m_convex_failure({(1, 0), (0, 1)}) is None  # fewer points than 2^d
+    assert not is_m_convex({(2, 0), (0, 2)})
+    assert is_m_convex({(k, 4 - k) for k in range(5)})  # more points than 2^d
+
+
 def test_m_convex_failure_inhomogeneous():
     # differing coordinate sums can never satisfy the exchange axiom
     assert m_convex_failure({(0, 2), (1, 0)}) == ((0, 2), (1, 0), 2)
@@ -302,7 +313,7 @@ def random_point_set(rng):
 
 def test_certificate_matches_exchange_loop_random():
     rng = random.Random(37)
-    seen = Counter()  # (passed, above the size gate)
+    seen = Counter()  # (passed, more points than coordinate subsets)
     for trial in range(3200):
         pts = random_point_set(rng)
         cert = m_convex_certificate(pts)
@@ -326,7 +337,7 @@ def test_certificate_matches_exchange_loop_on_rank5_interval_supports():
             assert m_convex_certificate(supp) is not None
             assert m_convex_failure(supp) is None
             sizes.add(len(supp) > 2 ** 4)
-    assert sizes == {False, True}  # both sides of the size gate
+    assert sizes == {False, True}  # up to 2^d points and more
 
 
 def test_is_snp_certificate_matches_hull_route_rank5():

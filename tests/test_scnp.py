@@ -372,16 +372,28 @@ def test_single_usable_cpu_runs_serially(monkeypatch):
 def test_failed_checkpoint_write_keeps_previous_checkpoint(monkeypatch, tmp_path):
     path = tmp_path / "sweep.json"
     old = {"mode": "ps-mconvex", "n": 3, "elapsed": 1.0, "done": {}}
-    scnp._write_checkpoint(path, old)
+    scnp._write_checkpoint(path, json.dumps(old))
 
     def crash(src, dst):
         raise OSError("disk full")
 
     monkeypatch.setattr(scnp.os, "replace", crash)
     with pytest.raises(ValueError, match="cannot write checkpoint"):
-        scnp._write_checkpoint(path, dict(old, elapsed=2.0))
+        scnp._write_checkpoint(path, json.dumps(dict(old, elapsed=2.0)))
     assert json.loads(path.read_text()) == old
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
+def test_resumed_checkpoint_text_is_json_dumps_of_its_token(tmp_path):
+    serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
+    verify_scnp_pattern(4, checkpoint_path=serial_path)
+    token = json.loads(serial_path.read_text())
+    token["done"] = dict(list(token["done"].items())[1::2])
+    path.write_text(json.dumps(token))
+    verify_scnp_pattern(4, resume=json.loads(path.read_text()), checkpoint_path=path)
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text))
+    assert checkpoint_done(path) == checkpoint_done(serial_path)
 
 
 def test_progress_callback_sees_every_unit():
@@ -405,7 +417,9 @@ def test_report_json_and_summary():
 
 
 def test_support_table_route_matches_dual_table():
-    table = dual_schubert_table(4)
-    supports = support_table_above(identity(4))
-    for w, f in table.items():
-        assert supports[w] == f.support()
+    for n in (4, 5):
+        table = dual_schubert_table(n)
+        supports = support_table_above(identity(n))
+        assert supports.keys() == table.keys()
+        for w, f in table.items():
+            assert supports[w] == f.support()
