@@ -17,6 +17,12 @@ step, `_times_segment`, makes every segment product: of one chain, and of the
 fold `_count_table`, which splits each chain of an interval at its last cover
 and sums chain weights with integer coefficients; those sums are divided by
 r! once, when a polynomial is read out.
+
+Inside those products a monomial is one int, not a tuple: the exponent of x_i
+sits in bits [W(i-1), Wi), so multiplying by x_i adds 1 << W(i-1).  In S_n the
+exponent of x_k is at most k(n-k) (`_field_width`), so W is the bit length of
+the largest of those and no field carries into the next.  Keys are read back
+as exponent tuples only where a result leaves the module.
 """
 
 from __future__ import annotations
@@ -210,21 +216,45 @@ class SparsePolynomial:
 # -- segment and chain weights ----------------------------------------------
 
 
-def _times_segment(terms: dict, a: int, b: int, out: dict) -> dict:
-    """Add terms * (x_a + ... + x_{b-1}) into out, exponent -> int coefficient."""
+def _field_width(nvars: int) -> int:
+    """Bits per exponent in a packed monomial of nvars variables, n = nvars + 1.
+
+    A cover (a, b) of S_n with a <= k < b raises v(1) + ... + v(k) by at least
+    1, and that sum runs from k(k+1)/2 to k(k+1)/2 + k(n-k).  So on any
+    saturated chain, and over the inversions of any permutation, at most
+    k(n-k) labels contain k: the exponent of x_k in a chain or global weight
+    is at most k(n-k) <= n^2/4.
+    """
+    return ((nvars + 1) ** 2 // 4).bit_length()
+
+
+def _unpacker(nvars: int):
+    """The function that reads a packed monomial back as its exponent tuple."""
+    width = _field_width(nvars)
+    mask, shifts = (1 << width) - 1, [width * i for i in range(nvars)]
+    return lambda key: tuple(key >> s & mask for s in shifts)
+
+
+def _times_segment(terms: dict, a: int, b: int, out: dict, width: int) -> dict:
+    """Add terms * (x_a + ... + x_{b-1}) into out, packed monomial -> int coefficient."""
     for i in range(a - 1, b - 1):
+        bit = 1 << width * i
         for e, c in terms.items():
-            k = e[:i] + (e[i] + 1,) + e[i + 1 :]
-            out[k] = out.get(k, 0) + c
+            out[e + bit] = out.get(e + bit, 0) + c
     return out
 
 
 def _segment_product(segs, nvars: int) -> SparsePolynomial:
-    """The product of the segment polynomials of the labels segs, in order."""
-    terms = {(0,) * nvars: 1}
+    """The product of the segment polynomials of the labels segs, in order.
+
+    The labels are a chain's or a permutation's inversions, so every exponent
+    fits its field (`_field_width`).
+    """
+    width, terms = _field_width(nvars), {0: 1}
     for a, b in segs:
-        terms = _times_segment(terms, a, b, {})
-    return SparsePolynomial(nvars, terms)
+        terms = _times_segment(terms, a, b, {}, width)
+    unpack = _unpacker(nvars)
+    return SparsePolynomial(nvars, {unpack(e): c for e, c in terms.items()})
 
 
 def segment_poly(seg: PositionPair, nvars: int) -> SparsePolynomial:
@@ -275,27 +305,34 @@ def postnikov_stanley_chainsum(u: Perm, w: Perm) -> SparsePolynomial:
     return total * Fraction(1, factorial(length(w) - length(u)))
 
 
-def _count_table(u: Perm, w: Perm) -> dict[Perm, dict]:
+def _count_table(u: Perm, w: Perm, covers=None) -> dict[Perm, dict]:
     """Every v in [u, w] -> the sum of the chain weights of [u, v], as int terms.
 
-    Every coefficient is positive, so nothing cancels: the keys of a sum are
-    the union of the keys, and a segment step Minkowski-adds the segment to
-    them.  The keys are therefore the support of [u, v].
+    Keys are packed monomials (see the module docstring; read them back with
+    `_unpacker`): one int per monomial, W = `_field_width` bits per variable,
+    and no field overflows because no chain puts more than k(n-k) labels on
+    x_k.  Every coefficient is positive, so nothing cancels: the keys of a
+    sum are the union of the keys, and a segment step Minkowski-adds the
+    segment to them.  The keys are therefore the support of [u, v].  Pass
+    `covers` when interval_covers(u, w) is already at hand.
     """
+    width = _field_width(len(w) - 1)
 
     def step(v: Perm, below) -> dict:
         out: dict = {}
         for prev, (a, b) in below:
-            _times_segment(prev, a, b, out)
+            _times_segment(prev, a, b, out, width)
         return out
 
-    return bruhat._interval_fold(u, w, {(0,) * (len(w) - 1): 1}, step)
+    return bruhat._interval_fold(u, w, {0: 1}, step, covers)
 
 
 def _read_out(counts: dict, steps: int, nvars: int) -> SparsePolynomial:
     """A chain-weight sum over an interval of that many steps, divided by steps!."""
-    d = factorial(steps)
-    return SparsePolynomial(nvars, {e: Fraction(c, d) for e, c in counts.items()})
+    d, unpack = factorial(steps), _unpacker(nvars)
+    return SparsePolynomial(
+        nvars, {unpack(e): Fraction(c, d) for e, c in counts.items()}
+    )
 
 
 def postnikov_stanley_dp(u: Perm, w: Perm) -> SparsePolynomial:

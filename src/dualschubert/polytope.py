@@ -22,10 +22,14 @@ i in I).  S is M-convex exactly when z_S is supermodular and S is every
 integer point of the polytope z_S defines (Murota, "Discrete Convex
 Analysis", 2003); that polytope is then conv(S), and its vertices are its
 greedy points (Edmonds, "Submodular functions, matroids, and certain
-polyhedra", 1970).  `m_convex_certificate` checks this.  It alone decides
-M-convexity; `is_snp` and the paper-theorems sweep try it before the
-simplex, and the exchange-pair loop runs only to name a rejected set's
-witness.
+polyhedra", 1970).  S lies inside that polytope by the definition of z_S,
+so "S is every integer point" is a count: `_base_count` walks the
+polytope's points one coordinate short of the end, and `_fills_base`
+compares that count with |S|.  `m_convex_certificate` checks this from the
+points, and the ps-mconvex sweep from floors and counts it folds without
+building S.  The certificate alone decides M-convexity; `is_snp` and the
+paper-theorems sweep try it before the simplex, and the exchange-pair loop
+runs only to name a rejected set's witness.
 """
 
 from __future__ import annotations
@@ -260,6 +264,14 @@ def _prefix_bounds(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
     )
 
 
+def _walk_bounds(z: Sequence[int], n: int) -> list[tuple[list[int], list[int]]]:
+    """Per coordinate k, over the subsets I of 0..k-1: z(I+k), z(full) - z(full-I-k)."""
+    top = z[-1]
+    return [
+        ([z[m] for m in lo], [top - z[m] for m in hi]) for lo, hi in _prefix_bounds(n)
+    ]
+
+
 def _base_points(z: Sequence[int], n: int):
     """Yield the integer t with sum(t) = z(full) and t(I) >= z(I), by bitmask.
 
@@ -269,10 +281,7 @@ def _base_points(z: Sequence[int], n: int):
     z(full-I-k) - t(I), so each inequality is read once per prefix.  For a
     supermodular z every prefix that gets a value extends to a point.
     """
-    top = z[-1]
-    bounds = [
-        ([z[m] for m in lo], [top - z[m] for m in hi]) for lo, hi in _prefix_bounds(n)
-    ]
+    bounds = _walk_bounds(z, n)
 
     def walk(k: int, sums: list[int], prefix: tuple[int, ...]):
         if k == n:
@@ -283,6 +292,40 @@ def _base_points(z: Sequence[int], n: int):
             yield from walk(k + 1, sums + [s + v for s in sums], prefix + (v,))
 
     return walk(0, [0], ())
+
+
+def _base_count(z: Sequence[int], n: int) -> int:
+    """How many points `_base_points` yields, for a supermodular z with z(empty) = 0.
+
+    The same walk, stopped one coordinate early.  For a supermodular z every
+    value in a prefix's range extends to a point, so the second-to-last
+    coordinate contributes its range's length; and the last coordinate is
+    then fixed, to z(full) minus the others, since I = everything before it
+    gives it equal bounds.  With fewer than two coordinates there is exactly
+    one point.
+    """
+    if n < 2:
+        return 1
+    bounds, last = _walk_bounds(z, n), n - 2
+
+    def walk(k: int, sums: list[int]) -> int:
+        lows, highs = bounds[k]
+        lo, hi = max(map(sub, lows, sums)), min(map(sub, highs, sums))
+        if k == last:
+            return max(hi - lo + 1, 0)
+        return sum(walk(k + 1, sums + [s + v for s in sums]) for v in range(lo, hi + 1))
+
+    return walk(0, [0])
+
+
+def _fills_base(z: Sequence[int], n: int, size: int) -> bool:
+    """Is a set of `size` points with floors z, z(I) = min over the set of
+    sum(t_i, i in I), every integer point of the base polytope P(z)?
+
+    The set lies inside P(z) by the definition of z, so equal counts mean
+    equal sets.  This decides M-convexity; see `m_convex_certificate`.
+    """
+    return _is_supermodular(z, n) and _base_count(z, n) == size
 
 
 class GeneralizedPermutahedron:
@@ -441,8 +484,8 @@ def m_convex_certificate(
 
     With z(I) = min over the points of sum(p_i, i in I) for every subset I,
     the points pass when they share one coordinate sum, z is supermodular,
-    and the polytope P(z) has no integer point outside the set (the set
-    always lies inside P(z)).  Why this is exact: P(z) is then an integral
+    and the polytope P(z) has as many integer points as the set
+    (`_fills_base`).  Why this is exact: P(z) is then an integral
     base polytope, so its integer points, which are the set, are M-convex;
     the set is every integer point of P(z), so conv(set) = P(z) and the set
     has SNP; and the vertices of P(z) are its greedy points.  Conversely an
@@ -469,9 +512,7 @@ def m_convex_certificate(
             fill(mask | 1 << k, grown, k + 1)
 
     fill(0, [0] * len(pts), 0)
-    if not _is_supermodular(z, d) or any(
-        p not in pts for p in _base_points(z, d)
-    ):
+    if not _fills_base(z, d, len(pts)):
         return None
     return GeneralizedPermutahedron(d, dict(zip(_mask_subsets(d), z)))
 

@@ -15,9 +15,17 @@ the support, tries the greedy chain for its witness, then a DFS over (node,
 counts); the scnp-pattern sweep uses floors alone (`_floor_fold`).
 
 Supports are the key sets of the integer chain-weight sums that also give
-the coefficients (`poly._count_table`): every coefficient is positive, so
-the keys are exactly the support.  Tests pin this against a set-union
-dynamic program and against the rational coefficients.
+the coefficients (`poly._count_table`, one packed int per monomial): every
+coefficient is positive, so the keys are exactly the support.  Tests pin
+this against a set-union dynamic program and against the rational
+coefficients.
+
+The ps-mconvex sweep builds no support.  One interval walk feeds two folds:
+the count fold gives |T| as a key count, and the floor fold, widened from
+the segments to every coordinate subset (`_subset_steps`), gives z_T on all
+2^(n-1) subsets.  T always lies inside the polytope P(z_T), so T is its
+every integer point exactly when the point count of P(z_T) is |T|; with z_T
+supermodular that is M-convexity (`polytope._fills_base`).
 
 The rank sweeps walk the whole symmetric group.  `SWEEPS` maps each mode
 to a unit (one base permutation) and a merge; `verify_ps_mconvex`,
@@ -60,13 +68,13 @@ from .perm import (
     up_covers,
     validate,
 )
-from .poly import _count_table, chain_weight, dual_schubert, global_weight
+from .poly import _count_table, _unpacker, chain_weight, dual_schubert, global_weight
 from .polytope import (
+    _fills_base,
     gp_from_inversions,
     hull_vertices,
     is_snp,
     m_convex_certificate,
-    m_convex_failure,
 )
 from .tiling import vertices_via_tilings
 
@@ -143,14 +151,19 @@ def ps_support(u: Perm, w: Perm) -> frozenset:
         raise ValueError(
             f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
         )
-    return frozenset(_count_table(u, w)[w])
+    return frozenset(map(_unpacker(len(u) - 1), _count_table(u, w)[w]))
 
 
 def support_table_above(u: Perm) -> dict[Perm, frozenset]:
-    """ps_support(u, v) for every v above u in its symmetric group."""
+    """ps_support(u, v) for every v above u in its symmetric group.
+
+    Each packed monomial is read back once, and its tuple is shared by every
+    support that holds it.
+    """
     u = validate(u)
+    unpack = lru_cache(maxsize=None)(_unpacker(len(u) - 1))
     table = _count_table(u, longest_element(len(u)))
-    return {v: frozenset(c) for v, c in table.items()}
+    return {v: frozenset(map(unpack, c)) for v, c in table.items()}
 
 
 # -- the single-chain decision -------------------------------------------------
@@ -208,22 +221,39 @@ def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
     return _scnp_search(u, w, z, examined=1)
 
 
-def _floor_fold(u: Perm) -> tuple[dict, dict]:
-    """interval_covers(u, w0), and z_T per segment for the support T of each [u, v].
+@lru_cache(maxsize=None)
+def _subset_steps(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Label (a, b) -> 1 on each coordinate subset holding {a, ..., b-1}, else 0.
 
-    T is the union of the chains' supports, each the Minkowski sum of its
-    label simplices.  A linear form's minimum over a union is the least of
-    the minima, over a Minkowski sum the sum of the minima, and a segment
-    form's minimum over a label simplex is that label's 0/1 step: z_T is a
-    min-plus fold over last covers.
+    The subsets of 1..n-1 are indexed by bitmask, bit i-1 for coordinate i.
+    """
+    return {
+        (a, b): tuple(int(m & seg == seg) for m in range(1 << n - 1))
+        for a in range(1, n)
+        for b in range(a + 1, n + 1)
+        for seg in [(1 << b - 1) - (1 << a - 1)]
+    }
+
+
+def _floor_fold(u: Perm, steps: dict, size: int) -> tuple[dict, dict]:
+    """interval_covers(u, w0), and z_T on each of `size` coordinate sets, for
+    the support T of each [u, v].
+
+    `steps` maps each label to its 0/1 count on those sets: `_label_steps`
+    for the segments, `_subset_steps` for every subset.  T is the union of
+    the chains' supports, each the Minkowski sum of its label simplices.  A
+    linear form's minimum over a union is the least of the minima, over a
+    Minkowski sum the sum of the minima, and the minimum of sum(t_i, i in I)
+    over a label simplex is that label's 0/1 step: z_T is a min-plus fold
+    over last covers.
     """
     w = longest_element(len(u))
-    steps, covers = _label_steps(len(u)), bruhat.interval_covers(u, w)
+    covers = bruhat.interval_covers(u, w)
 
     def step(v, below):
         return tuple(map(min, zip(*(map(add, z, steps[lab]) for z, lab in below))))
 
-    return covers, bruhat._interval_fold(u, w, (0,) * len(steps), step, covers)
+    return covers, bruhat._interval_fold(u, w, (0,) * size, step, covers)
 
 
 def _floor_path(covers: dict, u: Perm, v: Perm, floors: dict) -> tuple | None:
@@ -269,15 +299,26 @@ def _supports_cached(n: int) -> dict[Perm, frozenset]:
 
 
 def _unit_ps_mconvex(n: int, key: str) -> dict:
-    table = support_table_above(parse_perm(key))
-    ordered = sorted(table, key=lambda p: (length(p), p))
-    fails = [v for v in ordered if m_convex_failure(table[v]) is not None]
-    return {"pairs": len(table), "fails": [format_perm(v) for v in fails]}
+    """Is the support T of [u, v] M-convex, for every v above u?
+
+    One interval walk feeds two folds: the packed count fold, whose key
+    count is |T|, and the subset-floor fold, which gives z_T on every
+    coordinate subset.  T lies inside P(z_T) by the definition of z_T, so T
+    is every integer point of P(z_T) exactly when the two counts agree, and T
+    is M-convex exactly when that holds with z_T supermodular (Murota 2003;
+    see `m_convex_certificate`).  No support is built and no point visited.
+    """
+    u, d = parse_perm(key), n - 1
+    covers, floors = _floor_fold(u, _subset_steps(n), 1 << d)
+    counts = _count_table(u, longest_element(n), covers)
+    ordered = sorted(covers, key=lambda p: (length(p), p))
+    fails = [v for v in ordered if not _fills_base(floors[v], d, len(counts[v]))]
+    return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 
 def _unit_scnp_pattern(n: int, key: str) -> dict:
-    u = parse_perm(key)
-    covers, floors = _floor_fold(u)
+    u, steps = parse_perm(key), _label_steps(n)
+    covers, floors = _floor_fold(u, steps, len(steps))
     ordered = sorted(covers, key=lambda p: (length(p), p))
     fails = [v for v in ordered if _floor_path(covers, u, v, floors) is None]
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}

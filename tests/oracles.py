@@ -181,6 +181,24 @@ def support_table_by_union(u):
     return table
 
 
+def count_table_by_tuples(u):
+    """Chain-weight sums of [u, v] for every v >= u, one exponent tuple per monomial.
+
+    The cover-split fold over brute-force covers in increasing length order:
+    the sum of [u, v] adds, over covers x < v above u with label (a, b), the
+    sum of [u, x] times x_a + ... + x_{b-1}, exponent tuple -> int coefficient.
+    """
+    table = {u: {(0,) * (len(u) - 1): 1}}
+    for x in sorted(_upset(u), key=inversion_count):
+        for (a, b), v in covers_bruteforce(x):
+            out = table.setdefault(v, {})
+            for i in range(a - 1, b - 1):
+                for e, c in table[x].items():
+                    k = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    out[k] = out.get(k, 0) + c
+    return table
+
+
 def dominant_chain_by_sets(u, w, target):
     """A chain from u to w whose support is the point set target, or None.
 

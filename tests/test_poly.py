@@ -26,7 +26,15 @@ from dualschubert import (
     segment_poly,
     trivial_chain,
 )
-from dualschubert.poly import SparsePolynomial, grevlex_key
+from dualschubert.poly import (
+    SparsePolynomial,
+    _count_table,
+    _field_width,
+    _unpacker,
+    grevlex_key,
+)
+
+from oracles import count_table_by_tuples
 
 
 def poly(nvars, terms):
@@ -234,3 +242,31 @@ def test_support_equality_of_both_weight_routes_s4():
     table = dual_schubert_table(4)
     for w, f in table.items():
         assert f.support() == global_weight(w).support()
+
+
+# -- packed monomials in the count fold ---------------------------------------
+
+
+def unpacked_count_table(u):
+    unpack = _unpacker(len(u) - 1)
+    table = _count_table(u, longest_element(len(u)))
+    return {v: {unpack(e): c for e, c in terms.items()} for v, terms in table.items()}
+
+
+def test_packed_count_table_matches_tuple_oracle_s5():
+    for u in all_perms(5):  # the identity first: [identity, w0]
+        assert unpacked_count_table(u) == count_table_by_tuples(u)
+
+
+@pytest.mark.parametrize("u", [(1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5)])
+def test_packed_count_table_matches_tuple_oracle_rank6(u):
+    assert unpacked_count_table(u) == count_table_by_tuples(u)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_field_width_holds_the_largest_exponent(n):
+    # every inversion (a, b) of w0 with a <= k < b can put its variable on x_k
+    top = global_weight(longest_element(n)).support()
+    for k in range(1, n):
+        assert max(e[k - 1] for e in top) == k * (n - k) < 2 ** _field_width(n - 1)
+

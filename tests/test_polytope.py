@@ -320,12 +320,19 @@ def test_certificate_matches_exchange_loop_random():
         failure = _exchange_failure(pts)
         assert (cert is None) == (failure is not None), sorted(pts)
         assert m_convex_failure(pts) == failure
+        # the sweep's decision, on floors taken here from the points
+        d = len(next(iter(pts)))
+        z = [min(sum(p[i] for i in range(d) if m >> i & 1) for p in pts)
+             for m in range(1 << d)]
+        one_sum = len({sum(p) for p in pts}) == 1
+        assert (one_sum and polytope._fills_base(z, d, len(pts))) == (failure is None)
         seen[cert is not None, len(pts) > 2 ** len(next(iter(pts)))] += 1
         if cert is not None:
             assert cert.integer_points() == pts
             if trial % 8 == 0:
                 assert cert.vertices() == hull_vertices(pts)
     assert len(seen) == 4 and min(seen.values()) >= 50, seen
+    assert seen[False, False] + seen[False, True] == 1898
 
 
 def test_certificate_matches_exchange_loop_on_rank5_interval_supports():

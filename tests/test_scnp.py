@@ -24,6 +24,8 @@ from dualschubert import (
     is_scnp,
     is_snp,
     length,
+    m_convex_certificate,
+    m_convex_failure,
     parse_perm,
     postnikov_stanley_dp,
     ps_support,
@@ -122,7 +124,7 @@ def reference_unit(table, holds):
 def test_count_route_matches_set_oracle(n):
     for u in all_perms(n):
         table = support_table_above(u)
-        covers, floors = scnp._floor_fold(u)
+        covers, floors = scnp._floor_fold(u, scnp._label_steps(n), n * (n - 1) // 2)
         assert floors.keys() == table.keys()
         holds = {}
         for w, target in table.items():
@@ -152,7 +154,7 @@ def test_floor_unit_matches_reference_rank6(key):
 def test_count_route_matches_set_oracle_rank6_sample():
     u = (1, 3, 2, 4, 5, 6)
     table = support_table_above(u)
-    covers, floors = scnp._floor_fold(u)
+    covers, floors = scnp._floor_fold(u, scnp._label_steps(6), 15)
 
     def greedy_support(w):
         support = frozenset({(0,) * 5})
@@ -170,6 +172,34 @@ def test_count_route_matches_set_oracle_rank6_sample():
         assert (path is not None) == verdict.holds
         if path is not None:
             assert chain_weight(floor_chain(u, path)).support() == table[w]
+
+
+def certificate_record(u):
+    """The ps-mconvex unit record from each support's own certificate."""
+    table = support_table_above(u)
+    fails = [v for v in sorted(table, key=lambda p: (length(p), p))
+             if m_convex_failure(table[v]) is not None]
+    return {"pairs": len(table), "fails": [format_perm(v) for v in fails]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_subset_floor_unit_matches_certificate(n):
+    for u in all_perms(n):
+        covers, floors = scnp._floor_fold(u, scnp._subset_steps(n), 1 << n - 1)
+        table = support_table_above(u)
+        assert covers.keys() == floors.keys() == table.keys()
+        for v, supp in table.items():
+            assert list(floors[v]) == m_convex_certificate(supp)._masks()
+        assert scnp._run_unit("ps-mconvex", n, format_perm(u)) == certificate_record(u)
+
+
+@pytest.mark.parametrize("key", ["123456", "214365", "345612"])
+def test_subset_floor_unit_matches_certificate_rank6(key):
+    u = parse_perm(key)
+    _, floors = scnp._floor_fold(u, scnp._subset_steps(6), 32)
+    for v, supp in support_table_above(u).items():
+        assert list(floors[v]) == m_convex_certificate(supp)._masks()
+    assert scnp._run_unit("ps-mconvex", 6, key) == certificate_record(u)
 
 
 def test_is_scnp_rejects_bad_pairs():
