@@ -7,12 +7,20 @@ of a chain, taken with multiplicity, form its generating multiset.  Multisets
 of position pairs are compared by interval dominance: G is dominated by H when
 the pairs can be matched up so that each [a, b] from G sits inside its partner
 [c, d] from H.
+
+Each process computes a permutation's up- and down-covers once, when a walk
+first meets it, and keeps them (`_covers`); nothing is built per rank up
+front.  An interval is walked upward from its bottom: every element of
+[u, w] ends a saturated chain from u inside [u, w], so the covers that stay
+below w reach exactly [u, w], and when w is the longest element, which is
+above every permutation, no comparison is made at all.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .perm import (
@@ -23,6 +31,7 @@ from .perm import (
     down_covers,
     format_perm,
     length,
+    longest_element,
     up_covers,
     validate,
 )
@@ -89,37 +98,55 @@ def trivial_chain(u: Perm) -> SaturatedChain:
     return SaturatedChain((validate(u),), ())
 
 
+@lru_cache(maxsize=1 << 16)
+def _covers(v: Perm) -> tuple[tuple, tuple]:
+    """v's `up_covers` and `down_covers`, computed once per process.
+
+    One entry per permutation met; all of S_8 fits, about 47 MB of it.  A
+    long-lived process that is done with a rank can free them with
+    `_covers.cache_clear()`.
+    """
+    return tuple(up_covers(v)), tuple(down_covers(v))
+
+
 def interval_covers(
     u: Perm, w: Perm
 ) -> dict[Perm, list[tuple[Perm, PositionPair]]]:
-    """Each v in [u, w] with its labelled down-covers that stay in [u, w].
+    """Each v in [u, w], in (length, v) order, with its labelled down-covers
+    that stay in [u, w], in label order.  Empty when u is not below w.
 
-    One downward walk from w.  Every element of [u, w] is reached from w by
-    covers that stay above u, and whatever the walk meets is below w, so
-    each candidate is compared with u once.  Empty when u is not below w.
+    One upward walk from u, a level per length.  Every v in [u, w] ends a
+    saturated chain from u whose nodes all lie in [u, w] (Bruhat order is
+    graded), so climbing by covers that stay below w reaches all of [u, w],
+    and nothing else: whatever it reaches is above u.  Each element met is
+    compared with w once, and not at all when w is the longest element,
+    which is above every permutation.  A down-cover of v in [u, w] is below
+    w, so it is in the interval exactly when the walk met it.
 
     >>> interval_covers((2, 1, 3), (2, 3, 1))
-    {(2, 3, 1): [((2, 1, 3), (2, 3))], (2, 1, 3): []}
+    {(2, 1, 3): [], (2, 3, 1): [((2, 1, 3), (2, 3))]}
     """
     u, w = validate(u), validate(w)
     if not bruhat_leq(u, w):
         return {}
-    above_u = {w: True}
-    covers: dict[Perm, list[tuple[Perm, PositionPair]]] = {}
-    queue = deque([w])
-    while queue:
-        v = queue.popleft()
-        inside = []
-        for v2, lab in down_covers(v):
-            ok = above_u.get(v2)
-            if ok is None:
-                ok = above_u[v2] = bruhat_leq(u, v2)
-                if ok:
-                    queue.append(v2)
-            if ok:
-                inside.append((v2, lab))
-        covers[v] = inside
-    return covers
+    top = w == longest_element(len(w))
+    inside, outside, level = {u}, set(), [u]
+    order = []
+    while level:
+        order += level
+        met = set()
+        for x in level:
+            for v, _ in _covers(x)[0]:
+                if v not in met and v not in outside:
+                    if top or bruhat_leq(v, w):
+                        met.add(v)
+                    else:
+                        outside.add(v)
+        inside |= met
+        level = sorted(met)
+    return {
+        v: [cover for cover in _covers(v)[1] if cover[0] in inside] for v in order
+    }
 
 
 def interval_elements(u: Perm, w: Perm) -> frozenset[Perm]:
@@ -134,7 +161,7 @@ def interval_elements(u: Perm, w: Perm) -> frozenset[Perm]:
 def _interval_fold(u: Perm, w: Perm, one, step, covers=None) -> dict:
     """Cover-split fold over [u, w]: split each chain at its last cover.
 
-    Runs in increasing length order: table[u] = one, and for every other v
+    Runs in the covers' (length, v) order: table[u] = one, and for every other v
     in the interval, table[v] = step(v, [(table[v2], label) for each cover
     v2 < v in [u, w]]).  Callers check u <= w first, and pass `covers` when
     they already hold interval_covers(u, w).
@@ -143,9 +170,9 @@ def _interval_fold(u: Perm, w: Perm, one, step, covers=None) -> dict:
     # to the calling layer, not to this one.
     covers = interval_covers(u, w) if covers is None else covers
     table = {u: one}
-    for v in sorted(covers, key=lambda p: (length(p), p)):
+    for v, below in covers.items():
         if v != u:
-            table[v] = step(v, [(table[v2], lab) for v2, lab in covers[v]])
+            table[v] = step(v, [(table[v2], lab) for v2, lab in below])
     return table
 
 
@@ -167,7 +194,7 @@ def enumerate_chains(u: Perm, w: Perm) -> Iterator[SaturatedChain]:
             if v == w:
                 yield SaturatedChain(nodes, labels)
             return
-        for v2, lab in up_covers(v):
+        for v2, lab in _covers(v)[0]:
             if bruhat_leq(v2, w):
                 yield from walk(v2, nodes + (v2,), labels + (lab,))
 
@@ -190,7 +217,7 @@ def greedy_chain(u: Perm, w: Perm) -> SaturatedChain:
     rev_labels: list[PositionPair] = []
     v = w
     while v != u:
-        avail = [lab for v2, lab in down_covers(v) if bruhat_leq(u, v2)]
+        avail = [lab for v2, lab in _covers(v)[1] if bruhat_leq(u, v2)]
         best: PositionPair | None = None
         for a, b in avail:
             extendable = any(
@@ -222,7 +249,7 @@ def is_greedy(chain: SaturatedChain, u: Perm, w: Perm) -> bool:
         raise ValueError("chain endpoints do not match the given interval")
     for i, (a, b) in enumerate(chain.labels):
         v = chain.nodes[i + 1]
-        for v2, (x, y) in down_covers(v):
+        for v2, (x, y) in _covers(v)[1]:
             wider = (x == a and y > b) or (y == b and x < a)
             if wider and bruhat_leq(u, v2) and bruhat_leq(v2, w):
                 return False

@@ -13,7 +13,9 @@ compact form is canonical for n <= 9 and the comma form for larger ranks.
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache
 from itertools import combinations, permutations
+from operator import le
 from typing import Iterator
 
 Perm = tuple[int, ...]
@@ -100,39 +102,58 @@ def apply_t(w: Perm, a: int, b: int) -> Perm:
     return tuple(v)
 
 
+@lru_cache(maxsize=None)
+def _labels(n: int) -> list[list[PositionPair]]:
+    """labels[a][b] is the label (a + 1, b + 1), one shared tuple per pair."""
+    return [[(a + 1, b + 1) for b in range(n)] for a in range(n)]
+
+
 def up_covers(w: Perm) -> list[tuple[Perm, PositionPair]]:
     """Covers of w from above: pairs (w t_ab, (a, b)) with length(w)+1.
 
     w t_ab covers w exactly when w(a) < w(b) and no position strictly
-    between a and b holds a value strictly between w(a) and w(b).
+    between a and b holds a value strictly between w(a) and w(b).  So one
+    scan of b per position a finds them all: w(b) gives a cover exactly
+    when it lies above w(a) and below every value above w(a) passed so far.
     Labels come out in lexicographic (a, b) order.
 
     >>> [(v, lab) for v, lab in up_covers((1, 2, 3))]
     [((2, 1, 3), (1, 2)), ((1, 3, 2), (2, 3))]
     """
-    n = len(w)
-    out = []
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            lo, hi = w[a - 1], w[b - 1]
-            if lo < hi and not any(lo < w[j - 1] < hi for j in range(a + 1, b)):
-                out.append((apply_t(w, a, b), (a, b)))
+    n, out, v = len(w), [], list(w)
+    labels = _labels(n)
+    for a in range(n - 1):
+        x, above = w[a], n + 1
+        for b in range(a + 1, n):
+            y = w[b]
+            if x < y < above:
+                above = y
+                v[a], v[b] = y, x
+                out.append((tuple(v), labels[a][b]))
+                v[a], v[b] = x, y
     return out
 
 
 def down_covers(w: Perm) -> list[tuple[Perm, PositionPair]]:
     """Covers of w from below: pairs (w t_ab, (a, b)) with length(w)-1.
 
+    The scan of `up_covers` mirrored: w(b) gives a cover exactly when it
+    lies below w(a) and above every value below w(a) passed so far.
+
     >>> [(v, lab) for v, lab in down_covers((3, 2, 1))]
     [((2, 3, 1), (1, 2)), ((3, 1, 2), (2, 3))]
     """
-    n = len(w)
-    out = []
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            hi, lo = w[a - 1], w[b - 1]
-            if hi > lo and not any(lo < w[j - 1] < hi for j in range(a + 1, b)):
-                out.append((apply_t(w, a, b), (a, b)))
+    n, out, v = len(w), [], list(w)
+    labels = _labels(n)
+    for a in range(n - 1):
+        x, below = w[a], 0
+        for b in range(a + 1, n):
+            y = w[b]
+            if below < y < x:
+                below = y
+                v[a], v[b] = y, x
+                out.append((tuple(v), labels[a][b]))
+                v[a], v[b] = x, y
     return out
 
 
@@ -158,7 +179,7 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
         # maintain sorted prefixes incrementally
         insort(su, u[k])
         insort(sw, w[k])
-        if any(x > y for x, y in zip(su, sw)):
+        if not all(map(le, su, sw)):
             return False
     return True
 

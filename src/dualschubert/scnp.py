@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import accumulate
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import wait
-from operator import add, gt, le
+from operator import add, gt
 from pathlib import Path
 from typing import Callable
 
@@ -62,10 +62,8 @@ from .perm import (
     contains_pattern,
     format_perm,
     identity,
-    length,
     longest_element,
     parse_perm,
-    up_covers,
     validate,
 )
 from .poly import _count_table, _unpacker, chain_weight, dual_schubert, global_weight
@@ -198,7 +196,7 @@ def _scnp_search(u: Perm, w: Perm, z: tuple, examined: int) -> ScnpVerdict:
         if v == w:
             return SaturatedChain(nodes, labels) if counts == z else None
         if v not in ups:
-            ups[v] = [(v2, lab) for v2, lab in up_covers(v) if v2 in interval]
+            ups[v] = [(v2, lab) for v2, lab in bruhat._covers(v)[0] if v2 in interval]
         for v2, lab in ups[v]:
             c2 = tuple(map(add, counts, steps[lab]))
             if (v2, c2) in seen or any(map(gt, c2, z)):
@@ -256,27 +254,57 @@ def _floor_fold(u: Perm, steps: dict, size: int) -> tuple[dict, dict]:
     return covers, bruhat._interval_fold(u, w, (0,) * size, step, covers)
 
 
+def _pack_counts(counts, width: int) -> int:
+    """Per-segment counts as one int, segment k in bits [width k, width (k + 1))."""
+    return sum(c << width * k for k, c in enumerate(counts))
+
+
+@lru_cache(maxsize=None)
+def _packed_steps(n: int) -> tuple[dict, int, int]:
+    """`_label_steps(n)` with each count tuple packed into one int, the field
+    width, and the int with every field's top bit set."""
+    segments = n * (n - 1) // 2
+    width = segments.bit_length() + 1
+    steps = {lab: _pack_counts(c, width) for lab, c in _label_steps(n).items()}
+    return steps, width, _pack_counts([1 << width - 1] * segments, width)
+
+
+def _pack_floors(floors: dict, n: int) -> dict:
+    """`_floor_fold`'s segment floors, each packed into one int."""
+    width = _packed_steps(n)[1]
+    return {v: _pack_counts(z, width) for v, z in floors.items()}
+
+
 def _floor_path(covers: dict, u: Perm, v: Perm, floors: dict) -> tuple | None:
     """Labels, from u up, of a dominant chain u -> v, or None: a DFS down from v.
 
+    `floors` maps each x in [u, v] to z_T of [u, x], packed (`_pack_floors`).
     A partial chain x -> v with counts `top` is cut when seen before, or when
     top + floors[x] exceeds floors[v] on a segment: floors[x] is the least
     count of any chain from u to x.  At u, top is floors[v].
+
+    A segment's field has B = bit_length(n(n-1)/2) + 1 bits.  Each field of
+    top + floors[x] is that segment's count on some chain u -> v, floors[x]'s
+    on a chain to x and top's on the rest, so at most n(n-1)/2 < 2^(B-1):
+    the addition carries into no other field, and subtracting it from
+    floors[v] | G, G every field's top bit, borrows from none.  The top bit
+    of a field survives exactly when its count is at most floors[v]'s.
     """
-    steps, cap, seen = _label_steps(len(u)), floors[v], set()
+    steps, _, high = _packed_steps(len(u))
+    cap, seen = floors[v] | high, set()
 
     def dfs(x, top):
         if x == u:
             return ()
         for x2, lab in covers[x]:
-            t2 = tuple(map(add, top, steps[lab]))
-            if (x2, t2) not in seen and all(map(le, map(add, t2, floors[x2]), cap)):
+            t2 = top + steps[lab]
+            if (cap - (t2 + floors[x2])) & high == high and (x2, t2) not in seen:
                 seen.add((x2, t2))
                 if (found := dfs(x2, t2)) is not None:
                     return found + (lab,)
         return None
 
-    return dfs(v, (0,) * len(cap))
+    return dfs(v, 0)
 
 
 def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
@@ -294,8 +322,10 @@ def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
 
 
 @lru_cache(maxsize=2)
-def _supports_cached(n: int) -> dict[Perm, frozenset]:
-    return support_table_above(identity(n))
+def _counts_cached(n: int) -> dict[Perm, dict]:
+    """Every rank-n dual Schubert polynomial as packed integer terms; a
+    paper-theorems unit decodes only its own support."""
+    return _count_table(identity(n), longest_element(n))
 
 
 def _unit_ps_mconvex(n: int, key: str) -> dict:
@@ -311,16 +341,15 @@ def _unit_ps_mconvex(n: int, key: str) -> dict:
     u, d = parse_perm(key), n - 1
     covers, floors = _floor_fold(u, _subset_steps(n), 1 << d)
     counts = _count_table(u, longest_element(n), covers)
-    ordered = sorted(covers, key=lambda p: (length(p), p))
-    fails = [v for v in ordered if not _fills_base(floors[v], d, len(counts[v]))]
+    fails = [v for v in covers if not _fills_base(floors[v], d, len(counts[v]))]
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 
 def _unit_scnp_pattern(n: int, key: str) -> dict:
     u, steps = parse_perm(key), _label_steps(n)
     covers, floors = _floor_fold(u, steps, len(steps))
-    ordered = sorted(covers, key=lambda p: (length(p), p))
-    fails = [v for v in ordered if _floor_path(covers, u, v, floors) is None]
+    packed = _pack_floors(floors, n)
+    fails = [v for v in covers if _floor_path(covers, u, v, packed) is None]
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 
@@ -328,7 +357,8 @@ def _unit_theorems(n: int, key: str) -> dict:
     w = parse_perm(key)
     fails: list[dict] = []
     gw = global_weight(w)
-    supp, gsupp = _supports_cached(n)[w], gw.support()
+    supp = frozenset(map(_unpacker(n - 1), _counts_cached(n)[w]))
+    gsupp = gw.support()
     if supp != gsupp:
         fails.append({"kind": "support-mismatch", "w": key})
     e = identity(n)

@@ -9,12 +9,13 @@ point.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from dualschubert.bruhat import SaturatedChain, interval_elements
-from dualschubert.perm import up_covers
+from dualschubert.perm import bruhat_leq, down_covers, up_covers
 
 
 def inversion_count(w):
@@ -54,6 +55,33 @@ def _upset(u):
 
 def bruhat_leq_bruteforce(u, w):
     return w in _upset(u)
+
+
+def interval_covers_by_down_walk(u, w):
+    """Each v in [u, w] with its labelled down-covers inside, walking down from w.
+
+    Every element of [u, w] is reached from w by covers that stay above u,
+    and whatever the walk meets is below w, so each candidate is compared
+    with u once.  Keys come in walk order; empty when u is not below w.
+    """
+    if not bruhat_leq(u, w):
+        return {}
+    above_u = {w: True}
+    covers = {}
+    queue = deque([w])
+    while queue:
+        v = queue.popleft()
+        inside = []
+        for v2, lab in down_covers(v):
+            ok = above_u.get(v2)
+            if ok is None:
+                ok = above_u[v2] = bruhat_leq(u, v2)
+                if ok:
+                    queue.append(v2)
+            if ok:
+                inside.append((v2, lab))
+        covers[v] = inside
+    return covers
 
 
 def chain_count_bruteforce(u, w):

@@ -22,6 +22,7 @@ from dualschubert import (
     length,
     longest_element,
     multiset_dominates,
+    parse_perm,
     trivial_chain,
 )
 
@@ -30,6 +31,7 @@ from oracles import (
     chain_count_bruteforce,
     covers_bruteforce,
     dominates_bruteforce,
+    interval_covers_by_down_walk,
 )
 
 
@@ -117,6 +119,25 @@ def test_interval_covers_matches_oracles_s4():
             }
             got = interval_covers(u, w)
             assert {v: sorted(c) for v, c in got.items()} == expected
+
+
+def assert_same_walk(u, w):
+    got = interval_covers(u, w)
+    assert got == interval_covers_by_down_walk(u, w)
+    assert list(got) == sorted(got, key=lambda v: (length(v), v))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_interval_covers_matches_down_walk(n):
+    perms = list(all_perms(n))
+    for u in perms:
+        for w in perms:
+            assert_same_walk(u, w)
+
+
+@pytest.mark.parametrize("key", ["123456", "214365"])
+def test_interval_covers_matches_down_walk_rank6(key):
+    assert_same_walk(parse_perm(key), longest_element(6))
 
 
 def test_enumerate_chains_s3_fixture():

@@ -85,6 +85,14 @@ def test_up_covers_match_bruteforce_sampled_s6():
         }
 
 
+def test_covers_match_bruteforce_s5():
+    for w in all_perms(5):
+        assert up_covers(w) == [(v, lab) for lab, v in covers_bruteforce(w)]
+        assert down_covers(w) == sorted(
+            (v, lab) for v in all_perms(5) for lab, x in covers_bruteforce(v) if x == w
+        )
+
+
 def test_up_covers_sorted_by_label():
     for w in all_perms(4):
         labels = [lab for _, lab in up_covers(w)]

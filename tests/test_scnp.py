@@ -125,6 +125,7 @@ def test_count_route_matches_set_oracle(n):
     for u in all_perms(n):
         table = support_table_above(u)
         covers, floors = scnp._floor_fold(u, scnp._label_steps(n), n * (n - 1) // 2)
+        packed = scnp._pack_floors(floors, n)
         assert floors.keys() == table.keys()
         holds = {}
         for w, target in table.items():
@@ -134,7 +135,7 @@ def test_count_route_matches_set_oracle(n):
             assert verdict.holds == (dominant_chain_by_sets(u, w, target) is not None)
             if verdict.holds:
                 assert chain_weight(verdict.witness).support() == target
-            path = scnp._floor_path(covers, u, w, floors)
+            path = scnp._floor_path(covers, u, w, packed)
             assert (path is not None) == verdict.holds
             if path is not None:
                 assert chain_weight(floor_chain(u, path)).support() == target
@@ -155,6 +156,7 @@ def test_count_route_matches_set_oracle_rank6_sample():
     u = (1, 3, 2, 4, 5, 6)
     table = support_table_above(u)
     covers, floors = scnp._floor_fold(u, scnp._label_steps(6), 15)
+    packed = scnp._pack_floors(floors, 6)
 
     def greedy_support(w):
         support = frozenset({(0,) * 5})
@@ -168,10 +170,30 @@ def test_count_route_matches_set_oracle_rank6_sample():
     for w in sample:
         verdict = scnp._scnp_decide(u, w, table[w])
         assert verdict.holds == (dominant_chain_by_sets(u, w, table[w]) is not None)
-        path = scnp._floor_path(covers, u, w, floors)
+        path = scnp._floor_path(covers, u, w, packed)
         assert (path is not None) == verdict.holds
         if path is not None:
             assert chain_weight(floor_chain(u, path)).support() == table[w]
+
+
+class CountingCovers(dict):
+    """Interval covers that count their reads: the search reads x's covers
+    once for each state (x, counts) it expands."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_floor_path_expands_a_fixed_number_of_states():
+    # without floors[x] in the cut the same verdicts take 1,608 expansions
+    u = (1, 3, 2, 4, 5)
+    covers, floors = scnp._floor_fold(u, scnp._label_steps(5), 10)
+    packed, counting = scnp._pack_floors(floors, 5), CountingCovers(covers)
+    fails = sum(scnp._floor_path(counting, u, v, packed) is None for v in covers)
+    assert (len(covers), fails, counting.reads) == (108, 9, 437)
 
 
 def certificate_record(u):
