@@ -228,9 +228,10 @@ def _field_width(nvars: int) -> int:
     return ((nvars + 1) ** 2 // 4).bit_length()
 
 
-def _unpacker(nvars: int):
-    """The function that reads a packed monomial back as its exponent tuple."""
-    width = _field_width(nvars)
+def _unpacker(nvars: int, width: int | None = None):
+    """The function that reads a packed int back as the tuple of its nvars
+    fields, each `width` bits: by default a packed monomial's exponents."""
+    width = _field_width(nvars) if width is None else width
     mask, shifts = (1 << width) - 1, [width * i for i in range(nvars)]
     return lambda key: tuple(key >> s & mask for s in shifts)
 

@@ -572,46 +572,26 @@ def m_convex_failure(points: Iterable[LatticePoint]):
 
 
 def _exchange_failure(points: Iterable[LatticePoint]):
-    """m_convex_failure by the exchange-pair loop alone, over all pairs."""
+    """m_convex_failure by the exchange-pair loop alone, over all pairs in
+    sorted order, alpha's excess coordinates before beta's."""
     pts = sorted(set(tuple(p) for p in points))
     d = _check_point_dims(pts)
-    if len(pts) == 1:
-        return None
-    # integer-encode so the inner loop is set lookups on ints; the offset
-    # keeps every digit of an exchanged point nonnegative
-    mn = min(min(p) for p in pts)
-    offset = 1 - mn
-    base = max(max(p) for p in pts) + offset + 2
-    weights = [base ** (d - 1 - i) for i in range(d)]
+    members = set(pts)
 
-    def encode(p: LatticePoint) -> int:
-        return sum((c + offset) * wt for c, wt in zip(p, weights))
+    def moved(p: LatticePoint, i: int, j: int) -> LatticePoint:
+        q = list(p)
+        q[i], q[j] = q[i] - 1, q[j] + 1
+        return tuple(q)
 
-    codes = {encode(p) for p in pts}
-    for xi in range(len(pts)):
-        alpha = pts[xi]
-        ca = encode(alpha)
-        for yi in range(xi + 1, len(pts)):
-            beta = pts[yi]
-            cb = encode(beta)
+    for xi, alpha in enumerate(pts):
+        for beta in pts[xi + 1:]:
             up = [i for i in range(d) if alpha[i] > beta[i]]
             down = [i for i in range(d) if alpha[i] < beta[i]]
-            for i in up:
-                ok = any(
-                    ca - weights[i] + weights[j] in codes
-                    and cb + weights[i] - weights[j] in codes
-                    for j in down
-                )
-                if not ok:
-                    return (alpha, beta, i + 1)
-            for i in down:
-                ok = any(
-                    cb - weights[i] + weights[j] in codes
-                    and ca + weights[i] - weights[j] in codes
-                    for j in up
-                )
-                if not ok:
-                    return (beta, alpha, i + 1)
+            for a, b, more, less in ((alpha, beta, up, down), (beta, alpha, down, up)):
+                for i in more:
+                    if not any(moved(a, i, j) in members and moved(b, j, i) in members
+                               for j in less):
+                        return (a, b, i + 1)
     return None
 
 

@@ -20,12 +20,18 @@ coefficient is positive, so the keys are exactly the support.  Tests pin
 this against a set-union dynamic program and against the rational
 coefficients.
 
+Label counts and floors are packed ints, one field per coordinate set: the
+segments, or all 2^(n-1) subsets of 1..n-1.  `_steps` holds each label's
+packed 0/1 counts and says why no field carries or borrows, so a chain's
+counts are a sum of steps, a comparison with z_T is one subtract and mask,
+and the floor fold's min is a few operations on whole ints.
+
 The ps-mconvex sweep builds no support.  One interval walk feeds two folds:
 the count fold gives |T| as a key count, and the floor fold, widened from
-the segments to every coordinate subset (`_subset_steps`), gives z_T on all
-2^(n-1) subsets.  T always lies inside the polytope P(z_T), so T is its
-every integer point exactly when the point count of P(z_T) is |T|; with z_T
-supermodular that is M-convexity (`polytope._fills_base`).
+the segments to every coordinate subset, gives z_T on all 2^(n-1) subsets.
+T always lies inside the polytope P(z_T), so T is its every integer point
+exactly when the point count of P(z_T) is |T|; with z_T supermodular that
+is M-convexity (`polytope._fills_base`).
 
 The rank sweeps walk the whole symmetric group.  `SWEEPS` maps each mode
 to a unit (one base permutation) and a merge; `verify_ps_mconvex`,
@@ -45,11 +51,10 @@ import time
 import traceback
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import wait
-from operator import add, gt
 from pathlib import Path
 from typing import Callable
 
@@ -168,27 +173,52 @@ def support_table_above(u: Perm) -> dict[Perm, frozenset]:
 
 
 @lru_cache(maxsize=None)
-def _label_steps(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Label (a, b) -> its count on each segment (i, j), the same pairs in order."""
-    segs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    return {(a, b): tuple(int(i <= a and b <= j) for i, j in segs) for a, b in segs}
+def _segments(n: int) -> tuple[int, ...]:
+    """The segments {i, ..., j-1} of 1..n-1, (i, j) in lexicographic order, as
+    coordinate-set bitmasks: bit i-1 for coordinate i."""
+    return tuple(
+        (1 << j - 1) - (1 << i - 1) for i in range(1, n) for j in range(i + 1, n + 1)
+    )
 
 
-def _label_counts(labels, n: int) -> tuple[int, ...]:
-    """Per segment: how many of the labels lie inside it."""
-    return tuple(sum(i <= a and b <= j for a, b in labels) for i, j in _label_steps(n))
+@lru_cache(maxsize=None)
+def _steps(n: int, sets: tuple[int, ...]) -> tuple[dict, int, int]:
+    """Each label's packed counts on the coordinate sets `sets`, the field
+    width W, and G, the int with every field's top bit set.
+
+    `sets` holds bitmasks: the segments (`_segments(n)`) or every subset of
+    1..n-1.  Set k's field is bits [Wk, W(k+1)), where label (a, b) counts 1
+    when the set holds {a, ..., b-1}; a chain's counts are the sum of its
+    labels' steps.  W = bit_length(n(n-1)/2) + 1.  Every field here counts
+    the labels of one chain, so it is at most n(n-1)/2 < 2^(W-1): a sum
+    carries into no other field, and (z | G) - c borrows from none and keeps
+    a field's top bit exactly when c <= z there.
+    """
+    width = (n * (n - 1) // 2).bit_length() + 1
+    fields = [1 << width * k for k in range(len(sets))]
+    labels = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
+    steps = {
+        lab: sum(f for f, m in zip(fields, sets) if m & seg == seg)
+        for lab, seg in zip(labels, _segments(n))
+    }
+    return steps, width, sum(fields) << width - 1
 
 
-def _segment_floors(target: frozenset, n: int) -> tuple[int, ...]:
-    """Per segment (i, j): z_T(i, j) = min over t in T of t_i + ... + t_{j-1}."""
+def _segment_floors(target: frozenset, n: int) -> int:
+    """Per segment (i, j): z_T(i, j) = min over t in T of t_i + ... + t_{j-1},
+    packed as in `_steps`, whose labels are the segments in field order."""
+    steps, width, _ = _steps(n, _segments(n))
     sums = [list(accumulate(t, initial=0)) for t in target]
-    return tuple(min(s[j - 1] - s[i - 1] for s in sums) for i, j in _label_steps(n))
+    return sum(
+        min(s[j - 1] - s[i - 1] for s in sums) << width * k for k, (i, j) in enumerate(steps)
+    )
 
 
-def _scnp_search(u: Perm, w: Perm, z: tuple, examined: int) -> ScnpVerdict:
+def _scnp_search(u: Perm, w: Perm, z: int, examined: int) -> ScnpVerdict:
     """DFS over (node, counts) states; a child above z or seen before is cut."""
     interval = bruhat.interval_elements(u, w)
-    steps = _label_steps(len(u))
+    steps, _, high = _steps(len(u), _segments(len(u)))
+    cap = z | high
     ups: dict[Perm, list] = {}
     seen: set = set()
 
@@ -198,8 +228,8 @@ def _scnp_search(u: Perm, w: Perm, z: tuple, examined: int) -> ScnpVerdict:
         if v not in ups:
             ups[v] = [(v2, lab) for v2, lab in bruhat._covers(v)[0] if v2 in interval]
         for v2, lab in ups[v]:
-            c2 = tuple(map(add, counts, steps[lab]))
-            if (v2, c2) in seen or any(map(gt, c2, z)):
+            c2 = counts + steps[lab]
+            if (v2, c2) in seen or cap - c2 & high != high:
                 continue
             seen.add((v2, c2))
             found = dfs(v2, c2, nodes + (v2,), labels + (lab,))
@@ -207,90 +237,56 @@ def _scnp_search(u: Perm, w: Perm, z: tuple, examined: int) -> ScnpVerdict:
                 return found
         return None
 
-    chain = dfs(u, (0,) * len(z), (u,), ())
+    chain = dfs(u, 0, (u,), ())
     return ScnpVerdict(chain is not None, chain, examined + (chain is not None))
 
 
 def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
     z = _segment_floors(target, len(u))
     g = greedy_chain(u, w)
-    if _label_counts(g.labels, len(u)) == z:
+    steps = _steps(len(u), _segments(len(u)))[0]
+    if sum(steps[lab] for lab in g.labels) == z:
         return ScnpVerdict(True, g, 1)
     return _scnp_search(u, w, z, examined=1)
 
 
-@lru_cache(maxsize=None)
-def _subset_steps(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Label (a, b) -> 1 on each coordinate subset holding {a, ..., b-1}, else 0.
+def _floor_fold(u: Perm, sets: tuple[int, ...]) -> tuple[dict, dict]:
+    """interval_covers(u, w0), and z_T on the coordinate sets `sets`, packed
+    as in `_steps`, for the support T of each [u, v].
 
-    The subsets of 1..n-1 are indexed by bitmask, bit i-1 for coordinate i.
+    T is the union of the chains' supports, each the Minkowski sum of its
+    label simplices.  A linear form's minimum over a union is the least of
+    the minima, over a Minkowski sum the sum of the minima, and the minimum
+    of sum(t_i, i in I) over a label simplex is that label's 0/1 step: z_T
+    is a min-plus fold over last covers.  The min is field-wise: ge keeps the
+    top bit of each field where z >= t, ge - (ge >> W-1) sets the bits below
+    those top bits, and there z takes t's value.
     """
-    return {
-        (a, b): tuple(int(m & seg == seg) for m in range(1 << n - 1))
-        for a in range(1, n)
-        for b in range(a + 1, n + 1)
-        for seg in [(1 << b - 1) - (1 << a - 1)]
-    }
-
-
-def _floor_fold(u: Perm, steps: dict, size: int) -> tuple[dict, dict]:
-    """interval_covers(u, w0), and z_T on each of `size` coordinate sets, for
-    the support T of each [u, v].
-
-    `steps` maps each label to its 0/1 count on those sets: `_label_steps`
-    for the segments, `_subset_steps` for every subset.  T is the union of
-    the chains' supports, each the Minkowski sum of its label simplices.  A
-    linear form's minimum over a union is the least of the minima, over a
-    Minkowski sum the sum of the minima, and the minimum of sum(t_i, i in I)
-    over a label simplex is that label's 0/1 step: z_T is a min-plus fold
-    over last covers.
-    """
+    steps, width, high = _steps(len(u), sets)
     w = longest_element(len(u))
     covers = bruhat.interval_covers(u, w)
 
+    def least(z, t):
+        ge = ((z | high) - t) & high
+        return z ^ (z ^ t) & (ge - (ge >> width - 1))
+
     def step(v, below):
-        return tuple(map(min, zip(*(map(add, z, steps[lab]) for z, lab in below))))
+        return reduce(least, [z + steps[lab] for z, lab in below])
 
-    return covers, bruhat._interval_fold(u, w, (0,) * size, step, covers)
-
-
-def _pack_counts(counts, width: int) -> int:
-    """Per-segment counts as one int, segment k in bits [width k, width (k + 1))."""
-    return sum(c << width * k for k, c in enumerate(counts))
-
-
-@lru_cache(maxsize=None)
-def _packed_steps(n: int) -> tuple[dict, int, int]:
-    """`_label_steps(n)` with each count tuple packed into one int, the field
-    width, and the int with every field's top bit set."""
-    segments = n * (n - 1) // 2
-    width = segments.bit_length() + 1
-    steps = {lab: _pack_counts(c, width) for lab, c in _label_steps(n).items()}
-    return steps, width, _pack_counts([1 << width - 1] * segments, width)
-
-
-def _pack_floors(floors: dict, n: int) -> dict:
-    """`_floor_fold`'s segment floors, each packed into one int."""
-    width = _packed_steps(n)[1]
-    return {v: _pack_counts(z, width) for v, z in floors.items()}
+    return covers, bruhat._interval_fold(u, w, 0, step, covers)
 
 
 def _floor_path(covers: dict, u: Perm, v: Perm, floors: dict) -> tuple | None:
     """Labels, from u up, of a dominant chain u -> v, or None: a DFS down from v.
 
-    `floors` maps each x in [u, v] to z_T of [u, x], packed (`_pack_floors`).
-    A partial chain x -> v with counts `top` is cut when seen before, or when
-    top + floors[x] exceeds floors[v] on a segment: floors[x] is the least
-    count of any chain from u to x.  At u, top is floors[v].
-
-    A segment's field has B = bit_length(n(n-1)/2) + 1 bits.  Each field of
-    top + floors[x] is that segment's count on some chain u -> v, floors[x]'s
-    on a chain to x and top's on the rest, so at most n(n-1)/2 < 2^(B-1):
-    the addition carries into no other field, and subtracting it from
-    floors[v] | G, G every field's top bit, borrows from none.  The top bit
-    of a field survives exactly when its count is at most floors[v]'s.
+    `floors` maps each x in [u, v] to z_T of [u, x] on the segments
+    (`_floor_fold`).  A partial chain x -> v with counts `top` is cut when
+    seen before, or when top + floors[x] exceeds floors[v] on a segment:
+    floors[x] is the least count of any chain from u to x.  At u, top is
+    floors[v].  Each field of top + floors[x] counts the labels of one chain
+    u -> v, so the packed cut is exact (`_steps`).
     """
-    steps, _, high = _packed_steps(len(u))
+    steps, _, high = _steps(len(u), _segments(len(u)))
     cap, seen = floors[v] | high, set()
 
     def dfs(x, top):
@@ -339,17 +335,18 @@ def _unit_ps_mconvex(n: int, key: str) -> dict:
     see `m_convex_certificate`).  No support is built and no point visited.
     """
     u, d = parse_perm(key), n - 1
-    covers, floors = _floor_fold(u, _subset_steps(n), 1 << d)
+    subsets = tuple(range(1 << d))
+    covers, floors = _floor_fold(u, subsets)
     counts = _count_table(u, longest_element(n), covers)
-    fails = [v for v in covers if not _fills_base(floors[v], d, len(counts[v]))]
+    unpack = _unpacker(1 << d, _steps(n, subsets)[1])
+    fails = [v for v in covers if not _fills_base(unpack(floors[v]), d, len(counts[v]))]
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 
 def _unit_scnp_pattern(n: int, key: str) -> dict:
-    u, steps = parse_perm(key), _label_steps(n)
-    covers, floors = _floor_fold(u, steps, len(steps))
-    packed = _pack_floors(floors, n)
-    fails = [v for v in covers if _floor_path(covers, u, v, packed) is None]
+    u = parse_perm(key)
+    covers, floors = _floor_fold(u, _segments(n))
+    fails = [v for v in covers if _floor_path(covers, u, v, floors) is None]
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 

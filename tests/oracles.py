@@ -227,6 +227,23 @@ def count_table_by_tuples(u):
     return table
 
 
+def floors_by_tuples(u, sets):
+    """z_T on each coordinate set, one tuple per v >= u, for the support T of [u, v].
+
+    `sets` are bitmasks, bit i-1 for coordinate i.  The min-plus fold over
+    brute-force covers in increasing length order: a label (a, b) counts 1
+    on each set that holds {a, ..., b-1}, and z of [u, v] is the coordinatewise
+    least, over covers x < v above u, of z of [u, x] plus that label's counts.
+    """
+    table = {u: (0,) * len(sets)}
+    for x in sorted(_upset(u), key=inversion_count):
+        for (a, b), v in covers_bruteforce(x):
+            seg = (1 << b - 1) - (1 << a - 1)
+            z = tuple(c + (m & seg == seg) for c, m in zip(table[x], sets))
+            table[v] = tuple(map(min, table.get(v, z), z))
+    return table
+
+
 def dominant_chain_by_sets(u, w, target):
     """A chain from u to w whose support is the point set target, or None.
 

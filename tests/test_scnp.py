@@ -36,7 +36,13 @@ from dualschubert import (
 )
 from dualschubert import scnp
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
-from oracles import add_segment, dominant_chain_by_sets, support_table_by_union
+from dualschubert.poly import _unpacker
+from oracles import (
+    add_segment,
+    dominant_chain_by_sets,
+    floors_by_tuples,
+    support_table_by_union,
+)
 
 
 def comparable_pairs(n):
@@ -100,12 +106,13 @@ def test_is_scnp_negative_fixture():
 
 
 def test_count_criterion_matches_chain_supports_s4():
+    steps = scnp._steps(4, scnp._segments(4))[0]
     for u, w in comparable_pairs(4):
         target = ps_support(u, w)
         floors = scnp._segment_floors(target, 4)
         for chain in enumerate_chains(u, w):
             dominant = chain_weight(chain).support() == target
-            assert dominant == (scnp._label_counts(chain.labels, 4) == floors)
+            assert dominant == (sum(steps[lab] for lab in chain.labels) == floors)
 
 
 def floor_chain(u, labels):
@@ -124,8 +131,7 @@ def reference_unit(table, holds):
 def test_count_route_matches_set_oracle(n):
     for u in all_perms(n):
         table = support_table_above(u)
-        covers, floors = scnp._floor_fold(u, scnp._label_steps(n), n * (n - 1) // 2)
-        packed = scnp._pack_floors(floors, n)
+        covers, floors = scnp._floor_fold(u, scnp._segments(n))
         assert floors.keys() == table.keys()
         holds = {}
         for w, target in table.items():
@@ -135,7 +141,7 @@ def test_count_route_matches_set_oracle(n):
             assert verdict.holds == (dominant_chain_by_sets(u, w, target) is not None)
             if verdict.holds:
                 assert chain_weight(verdict.witness).support() == target
-            path = scnp._floor_path(covers, u, w, packed)
+            path = scnp._floor_path(covers, u, w, floors)
             assert (path is not None) == verdict.holds
             if path is not None:
                 assert chain_weight(floor_chain(u, path)).support() == target
@@ -155,8 +161,7 @@ def test_floor_unit_matches_reference_rank6(key):
 def test_count_route_matches_set_oracle_rank6_sample():
     u = (1, 3, 2, 4, 5, 6)
     table = support_table_above(u)
-    covers, floors = scnp._floor_fold(u, scnp._label_steps(6), 15)
-    packed = scnp._pack_floors(floors, 6)
+    covers, floors = scnp._floor_fold(u, scnp._segments(6))
 
     def greedy_support(w):
         support = frozenset({(0,) * 5})
@@ -170,7 +175,7 @@ def test_count_route_matches_set_oracle_rank6_sample():
     for w in sample:
         verdict = scnp._scnp_decide(u, w, table[w])
         assert verdict.holds == (dominant_chain_by_sets(u, w, table[w]) is not None)
-        path = scnp._floor_path(covers, u, w, packed)
+        path = scnp._floor_path(covers, u, w, floors)
         assert (path is not None) == verdict.holds
         if path is not None:
             assert chain_weight(floor_chain(u, path)).support() == table[w]
@@ -190,10 +195,39 @@ class CountingCovers(dict):
 def test_floor_path_expands_a_fixed_number_of_states():
     # without floors[x] in the cut the same verdicts take 1,608 expansions
     u = (1, 3, 2, 4, 5)
-    covers, floors = scnp._floor_fold(u, scnp._label_steps(5), 10)
-    packed, counting = scnp._pack_floors(floors, 5), CountingCovers(covers)
-    fails = sum(scnp._floor_path(counting, u, v, packed) is None for v in covers)
+    covers, floors = scnp._floor_fold(u, scnp._segments(5))
+    counting = CountingCovers(covers)
+    fails = sum(scnp._floor_path(counting, u, v, floors) is None for v in covers)
     assert (len(covers), fails, counting.reads) == (108, 9, 437)
+
+
+def subsets(n):
+    """Every coordinate subset of 1..n-1, as bitmasks in increasing order."""
+    return tuple(range(1 << n - 1))
+
+
+def unpacked(z, n, sets):
+    """Packed floors on the coordinate sets, read back as a tuple."""
+    return _unpacker(len(sets), scnp._steps(n, sets)[1])(z)
+
+
+def assert_floors_match_tuple_oracle(u):
+    n = len(u)
+    for sets in (scnp._segments(n), subsets(n)):
+        _, floors = scnp._floor_fold(u, sets)
+        oracle = floors_by_tuples(u, sets)
+        assert {v: unpacked(z, n, sets) for v, z in floors.items()} == oracle
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_floor_fold_matches_tuple_oracle(n):
+    for u in all_perms(n):
+        assert_floors_match_tuple_oracle(u)
+
+
+@pytest.mark.parametrize("key", ["123456", "214365"])
+def test_packed_floor_fold_matches_tuple_oracle_rank6(key):
+    assert_floors_match_tuple_oracle(parse_perm(key))
 
 
 def certificate_record(u):
@@ -207,20 +241,22 @@ def certificate_record(u):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_subset_floor_unit_matches_certificate(n):
     for u in all_perms(n):
-        covers, floors = scnp._floor_fold(u, scnp._subset_steps(n), 1 << n - 1)
+        covers, floors = scnp._floor_fold(u, subsets(n))
         table = support_table_above(u)
         assert covers.keys() == floors.keys() == table.keys()
         for v, supp in table.items():
-            assert list(floors[v]) == m_convex_certificate(supp)._masks()
+            z = unpacked(floors[v], n, subsets(n))
+            assert list(z) == m_convex_certificate(supp)._masks()
         assert scnp._run_unit("ps-mconvex", n, format_perm(u)) == certificate_record(u)
 
 
 @pytest.mark.parametrize("key", ["123456", "214365", "345612"])
 def test_subset_floor_unit_matches_certificate_rank6(key):
     u = parse_perm(key)
-    _, floors = scnp._floor_fold(u, scnp._subset_steps(6), 32)
+    _, floors = scnp._floor_fold(u, subsets(6))
     for v, supp in support_table_above(u).items():
-        assert list(floors[v]) == m_convex_certificate(supp)._masks()
+        z = unpacked(floors[v], 6, subsets(6))
+        assert list(z) == m_convex_certificate(supp)._masks()
     assert scnp._run_unit("ps-mconvex", 6, key) == certificate_record(u)
 
 
