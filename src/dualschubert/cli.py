@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from itertools import islice
 from pathlib import Path
 
@@ -315,8 +316,16 @@ def _cmd_verify(args) -> int:
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise ValueError(f"cannot read resume file {args.resume}: {exc}") from exc
 
+    # the rate counts only the units this run finishes, not resumed ones
+    started, finished = time.monotonic(), 0
+
     def progress(done: int, total: int, key: str) -> None:
-        print(f"progress: {done}/{total} units (finished {key})", file=sys.stderr)
+        nonlocal finished
+        finished += 1
+        rate = finished / max(time.monotonic() - started, 1e-9)
+        minutes, seconds = divmod(round((total - done) / rate), 60)
+        print(f"progress: {done}/{total} units (finished {key}), {rate:.2f} units/s,"
+              f" ETA {minutes // 60}:{minutes % 60:02d}:{seconds:02d}", file=sys.stderr)
 
     report = runners[args.mode](
         args.n,
@@ -421,7 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
                         " (--jobs 1) first finishes the unit it is running,"
                         " up to about 30 s at rank 7")
     p.add_argument("--checkpoint", default=None,
-                   help="write resume state to this file after each unit")
+                   help="write resume state to this file before the first"
+                        " unit, at most once a second while units finish,"
+                        " and when the sweep stops for any reason; a hard"
+                        " kill loses at most a second's finished units")
     p.add_argument("--resume", default=None,
                    help="resume from a checkpoint file")
 

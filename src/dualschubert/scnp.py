@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 import traceback
 from contextlib import suppress
@@ -446,6 +447,11 @@ def _run_unit(mode: str, n: int, key: str) -> dict:
 # -- sweep driver ----------------------------------------------------------------
 
 
+# While units finish, `_sweep` rewrites the checkpoint at most this often:
+# a rewrite and rename per unit took nearly half of a rank-5 sweep's time.
+_CHECKPOINT_EVERY_S = 1.0
+
+
 def _write_checkpoint(path, text: str) -> None:
     """Replace the checkpoint atomically; a crash keeps the previous one."""
     path = Path(path)
@@ -459,22 +465,30 @@ def _write_checkpoint(path, text: str) -> None:
 
 
 def _check_token(token) -> None:
-    """Raise ValueError unless token has the shape `_sweep` writes."""
-    done = token.get("done") if isinstance(token, dict) else None
+    """Raise ValueError unless token has the shape `_sweep` writes.
+
+    Counts must be ints, not bools (True == 1), and elapsed a number that
+    is finite as a float: Python's json reads NaN and Infinity.
+    """
+    token = token if isinstance(token, dict) else {}
+    done, elapsed = token.get("done"), token.get("elapsed", 0.0)
     if not (
         isinstance(done, dict)
-        and {"mode", "n"} <= token.keys()
-        and isinstance(token.get("elapsed", 0.0), (int, float))
+        and "mode" in token
+        and type(token.get("n")) is int
+        and type(elapsed) in (int, float)
+        and abs(elapsed) <= sys.float_info.max
         and all(
             isinstance(r, dict)
-            and isinstance(r.get("pairs"), int)
+            and type(r.get("pairs")) is int
             and isinstance(r.get("fails"), list)
             for r in done.values()
         )
     ):
         raise ValueError(
-            "malformed resume token: expected mode, n and done,"
-            " with pairs and fails in every record"
+            "malformed resume token: expected mode, an integer n, a finite"
+            " elapsed and done, with integer pairs and a fails list in every"
+            " record"
         )
 
 
@@ -508,11 +522,16 @@ def _sweep(
 
     Units recorded in `resume` are skipped.  The rest run in-process when
     min(jobs, pending units, usable CPUs) is 1, else on that many worker
-    processes.  The checkpoint is written before the first unit and after
-    every unit.  Once the budget has run out no further result is awaited
-    and the report is partial, with a resume token.  A worker that dies
-    raises RuntimeError naming its unit and exit code.  Leaving the loop, on
-    budget or on error, terminates the worker processes.
+    processes.  The checkpoint is written before the first unit, then when
+    a unit finishes `_CHECKPOINT_EVERY_S` or more after the last write, and
+    on every way out: complete, budget spent, or any exception, including
+    KeyboardInterrupt, which a failed final write does not hide.  So only a
+    hard kill (SIGKILL, out of memory) loses finished units: those that
+    finished less than `_CHECKPOINT_EVERY_S` after the last write.  Once the
+    budget has run out no further result is awaited and the report is
+    partial, with a resume token.  A worker that dies raises RuntimeError
+    naming its unit and exit code.  Leaving the loop, on budget or on error,
+    terminates the worker processes.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -528,14 +547,17 @@ def _sweep(
         done = dict(resume["done"])
         prior = float(resume.get("elapsed", 0.0))
     pending = [k for k in keys if k not in done]
-    start = time.monotonic()
+    start = saved = time.monotonic()
     # each record is serialized once, and a write joins them: the file's
     # text is json.dumps of the token {mode, n, elapsed, done}
     records = [f"{json.dumps(k)}: {json.dumps(r)}" for k, r in done.items()]
 
     def save() -> float:
-        """Write the checkpoint, if any; return the elapsed time it holds."""
-        elapsed = prior + (time.monotonic() - start)
+        """Write the checkpoint, if any, and note when; return the elapsed
+        time it holds."""
+        nonlocal saved
+        saved = time.monotonic()
+        elapsed = prior + (saved - start)
         if checkpoint_path is not None:
             head = json.dumps({"mode": mode, "n": n, "elapsed": elapsed})[:-1]
             text = head + ', "done": {' + ", ".join(records) + "}}"
@@ -580,9 +602,14 @@ def _sweep(
                 break
             done[key] = record
             records.append(f"{json.dumps(key)}: {json.dumps(record)}")
-            save()
+            if time.monotonic() - saved >= _CHECKPOINT_EVERY_S:
+                save()
             if progress is not None:
                 progress(len(done), len(keys), key)
+    except BaseException:
+        with suppress(ValueError):  # the original error is the one to report
+            save()
+        raise
     finally:
         for proc in procs.values():
             proc.terminate()

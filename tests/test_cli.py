@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -183,6 +184,19 @@ def test_verify_summary_and_exit(capsys):
     assert "progress: 24/24 units" in err
 
 
+def test_verify_progress_lines_give_rate_and_eta(capsys):
+    _, _, err = run(capsys, "verify", "--mode", "scnp-pattern", "--n", "4", "--jobs", "2")
+    lines = err.splitlines()
+    assert len(lines) == 24
+    for done, line in enumerate(lines, start=1):
+        assert re.fullmatch(
+            rf"progress: {done}/24 units \(finished \d{{4}}\),"
+            r" \d+\.\d\d units/s, ETA \d+:\d\d:\d\d",
+            line,
+        ), line
+    assert lines[-1].endswith("ETA 0:00:00")
+
+
 def test_verify_json(capsys):
     rc, out, _ = run(capsys, "verify", "--mode", "ps-mconvex", "--n", "3", "--json")
     assert rc == 0
@@ -229,8 +243,13 @@ def test_verify_resume_mode_mismatch(capsys, tmp_path):
     [
         [],
         {"mode": "ps-mconvex", "n": 3, "done": {"123": {"pairs": 6}}},
+        {"mode": "ps-mconvex", "n": 3, "done": {"123": {"pairs": True, "fails": []}}},
+        {"mode": "ps-mconvex", "n": True, "done": {}},
+        {"mode": "ps-mconvex", "n": 3, "elapsed": float("nan"), "done": {}},
+        {"mode": "ps-mconvex", "n": 3, "elapsed": 10**400, "done": {}},
     ],
-    ids=["json-list", "record-without-fails"],
+    ids=["json-list", "record-without-fails", "bool-pairs", "bool-n", "nan-elapsed",
+         "elapsed-beyond-float"],
 )
 def test_verify_malformed_resume_is_usage_error(capsys, tmp_path, token):
     ckpt = tmp_path / "sweep.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -376,6 +377,7 @@ def test_parallel_sweep_matches_serial(mode, monkeypatch, tmp_path):
     serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
     serial = verify(4, checkpoint_path=serial_path)
     monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(scnp, "_CHECKPOINT_EVERY_S", 0)
     lag = []
 
     def progress(done, total, key):
@@ -385,7 +387,79 @@ def test_parallel_sweep_matches_serial(mode, monkeypatch, tmp_path):
     assert parallel.ok()
     assert without_elapsed(parallel) == without_elapsed(serial)
     assert checkpoint_done(path) == checkpoint_done(serial_path)
-    assert lag == [0] * 24  # the checkpoint is written after every unit
+    assert lag == [0] * 24  # with no interval, the checkpoint is written after every unit
+
+
+def count_writes(monkeypatch) -> list[str]:
+    """Patch `_write_checkpoint` to record the text of each write it makes."""
+    writes, write = [], scnp._write_checkpoint
+
+    def counted(path, text):
+        writes.append(text)
+        write(path, text)
+
+    monkeypatch.setattr(scnp, "_write_checkpoint", counted)
+    return writes
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_within_the_interval_writes_its_checkpoint_twice(jobs, monkeypatch, tmp_path):
+    path = tmp_path / "sweep.json"
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(scnp, "_CHECKPOINT_EVERY_S", 3600.0)
+    writes = count_writes(monkeypatch)
+    assert verify_scnp_pattern(4, jobs=jobs, checkpoint_path=path).ok()
+    assert len(writes) == 2  # before the first unit, and at the end
+    assert json.loads(writes[0])["done"] == {}
+    assert writes[1] == path.read_text() and len(checkpoint_done(path)) == 24
+
+
+def test_pool_sweep_writes_its_checkpoint_at_most_once_a_second(monkeypatch, tmp_path):
+    path = tmp_path / "sweep.json"
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+    writes = count_writes(monkeypatch)
+    report = verify_scnp_pattern(5, jobs=2, checkpoint_path=path)
+    interval = scnp._CHECKPOINT_EVERY_S
+    assert 2 <= len(writes) <= 2 + math.ceil(report.elapsed / interval)
+    assert len(checkpoint_done(path)) == 120
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stopped_sweep_checkpoints_its_finished_units(jobs, error, monkeypatch, tmp_path):
+    serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
+    verify_scnp_pattern(4, checkpoint_path=serial_path)
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+
+    def stop(done, total, key):
+        if done == 5:
+            raise error("stopped")
+
+    with pytest.raises(error, match="stopped"):
+        verify_scnp_pattern(4, jobs=jobs, checkpoint_path=path, progress=stop)
+    assert multiprocessing.active_children() == []
+    done, serial = checkpoint_done(path), checkpoint_done(serial_path)
+    assert len(done) == 5 and done == {key: serial[key] for key in done}
+
+
+def test_failed_final_write_does_not_hide_the_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(scnp, "_CHECKPOINT_EVERY_S", 3600.0)
+    write, writes = scnp._write_checkpoint, []
+
+    def full_after_the_first(path, text):
+        writes.append(text)
+        if len(writes) > 1:
+            raise ValueError("cannot write checkpoint: disk full")
+        write(path, text)
+
+    monkeypatch.setattr(scnp, "_write_checkpoint", full_after_the_first)
+
+    def stop(done, total, key):
+        raise RuntimeError("stopped")
+
+    with pytest.raises(RuntimeError, match="stopped"):
+        verify_scnp_pattern(4, checkpoint_path=tmp_path / "sweep.json", progress=stop)
+    assert len(writes) == 2  # the final write was made, and failed
 
 
 def test_budget_bounds_a_pool_sweep(monkeypatch):
