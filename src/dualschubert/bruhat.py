@@ -180,25 +180,26 @@ def enumerate_chains(u: Perm, w: Perm) -> Iterator[SaturatedChain]:
     """All saturated chains from u to w, as a stream.
 
     Children are explored in lexicographic label order, so the stream is
-    ordered by the label word.  An incomparable pair yields an empty stream.
+    ordered by the label word.  A walk climbs only by covers that stay in
+    [u, w]; every element of [u, w] below w has such a cover (Bruhat order
+    is graded), so every walk ends at w.  An incomparable pair yields an
+    empty stream.
     """
     u, w = validate(u), validate(w)
-    if not bruhat_leq(u, w):
-        return
-    steps = length(w) - length(u)
+    inside = interval_elements(u, w)
 
     def walk(
         v: Perm, nodes: tuple[Perm, ...], labels: tuple[PositionPair, ...]
     ) -> Iterator[SaturatedChain]:
-        if len(labels) == steps:
-            if v == w:
-                yield SaturatedChain(nodes, labels)
+        if v == w:
+            yield SaturatedChain(nodes, labels)
             return
         for v2, lab in _covers(v)[0]:
-            if bruhat_leq(v2, w):
+            if v2 in inside:
                 yield from walk(v2, nodes + (v2,), labels + (lab,))
 
-    yield from walk(u, (u,), ())
+    if inside:
+        yield from walk(u, (u,), ())
 
 
 def greedy_chain(u: Perm, w: Perm) -> SaturatedChain:

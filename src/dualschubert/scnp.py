@@ -33,10 +33,22 @@ T always lies inside the polytope P(z_T), so T is its every integer point
 exactly when the point count of P(z_T) is |T|; with z_T supermodular that
 is M-convexity (`polytope._fills_base`).
 
+Conjugation rc(v) = w0 v w0 is an automorphism of Bruhat order that fixes
+w0 (Bjorner-Brenti 2005).  It turns the cover label (a, b) into
+(n+1-b, n+1-a), whose segment {n+1-b, ..., n-a} is the image of
+{a, ..., b-1} under i -> n-i.  So it maps the chains of [u, v] onto those of
+[rc(u), rc(v)] and every chain's support, hence T, onto its reversal.
+Reversing the coordinates keeps M-convexity and maps a dominant chain to a
+dominant chain: v fails at u exactly when rc(v) fails at rc(u), and [u, w0]
+and [rc(u), w0] have as many elements.  rc preserves length, so the
+conjugated fails sorted by (length, v) are in the order of rc(u)'s own walk
+(`_mirror`).  The ps-mconvex and scnp-pattern sweeps run a unit u only when
+u <= rc(u) and derive rc(u)'s record from it.
+
 The rank sweeps walk the whole symmetric group.  `SWEEPS` maps each mode
-to a unit (one base permutation) and a merge; `verify_ps_mconvex`,
-`verify_scnp_pattern` and `verify_theorems` run one mode each, through one
-sweep body.  It supports budget-bounded partial runs with resumable
+to a unit (one base permutation), a merge and whether it is mirrored;
+`verify_ps_mconvex`, `verify_scnp_pattern` and `verify_theorems` run one
+mode each, through one sweep body.  It supports budget-bounded partial runs with resumable
 checkpoints and can fan units out over worker processes.  Results are merged
 in a fixed order, so reports are deterministic regardless of worker
 scheduling.
@@ -68,6 +80,7 @@ from .perm import (
     contains_pattern,
     format_perm,
     identity,
+    length,
     longest_element,
     parse_perm,
     validate,
@@ -429,19 +442,34 @@ def _merge_theorems(n: int, fails: dict[str, list]) -> tuple[list, list]:
     return [rec for recs in fails.values() for rec in recs], []
 
 
-# mode -> (unit, merge).  One unit per permutation key of S_n: unit(n, key)
-# returns {"pairs": int, "fails": list}.  merge(n, fails) takes every unit's
-# fails in key order and returns the report's counterexamples and
-# scnp_failures.
-SWEEPS: dict[str, tuple[Callable[[int, str], dict], Callable[[int, dict], tuple]]] = {
-    "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex),
-    "scnp-pattern": (_unit_scnp_pattern, _merge_scnp_pattern),
-    "paper-theorems": (_unit_theorems, _merge_theorems),
+# mode -> (unit, merge, mirrored).  One unit per permutation key of S_n:
+# unit(n, key) returns {"pairs": int, "fails": list}.  merge(n, fails) takes
+# every unit's fails in key order and returns the report's counterexamples
+# and scnp_failures.  A mirrored sweep's fails are permutation keys, and unit
+# rc(u)'s record is `_mirror` of unit u's.  paper-theorems is not mirrored:
+# its unit cross-checks independent routes for one w.
+SWEEPS: dict[str, tuple[Callable[[int, str], dict], Callable[[int, dict], tuple], bool]] = {
+    "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex, True),
+    "scnp-pattern": (_unit_scnp_pattern, _merge_scnp_pattern, True),
+    "paper-theorems": (_unit_theorems, _merge_theorems, False),
 }
 
 
 def _run_unit(mode: str, n: int, key: str) -> dict:
     return SWEEPS[mode][0](n, key)
+
+
+def _conjugate(v: Perm) -> Perm:
+    """rc(v) = w0 v w0: v's one-line form reversed, its values complemented."""
+    return tuple(len(v) + 1 - x for x in reversed(v))
+
+
+def _mirror(record: dict) -> dict:
+    """Unit rc(u)'s record, from unit u's (see the module docstring)."""
+    fails = sorted(
+        map(_conjugate, map(parse_perm, record["fails"])), key=lambda v: (length(v), v)
+    )
+    return {"pairs": record["pairs"], "fails": list(map(format_perm, fails))}
 
 
 # -- sweep driver ----------------------------------------------------------------
@@ -481,14 +509,15 @@ def _check_token(token) -> None:
         and all(
             isinstance(r, dict)
             and type(r.get("pairs")) is int
+            and r["pairs"] >= 0
             and isinstance(r.get("fails"), list)
             for r in done.values()
         )
     ):
         raise ValueError(
             "malformed resume token: expected mode, an integer n, a finite"
-            " elapsed and done, with integer pairs and a fails list in every"
-            " record"
+            " elapsed and done, with non-negative integer pairs and a fails"
+            " list in every record"
         )
 
 
@@ -520,16 +549,24 @@ def _sweep(
 ) -> ConjectureReport:
     """Run the units of SWEEPS[mode] over S_n and merge them into a report.
 
+    A mirrored sweep runs unit u only when u <= rc(u) as tuples, and writes
+    unit rc(u)'s record, with its own progress call, right after u's.  That
+    is exact: rc is a Bruhat automorphism fixing w0 that reverses every
+    support point, which keeps M-convexity and dominant chains, so unit
+    rc(u) has u's pair count and u's fails conjugated, in (length, v) order
+    (module docstring).  rc is an involution, so a resumed pair with either
+    half recorded gets the other half up front, with no progress call.
+
     Units recorded in `resume` are skipped.  The rest run in-process when
-    min(jobs, pending units, usable CPUs) is 1, else on that many worker
-    processes.  The checkpoint is written before the first unit, then when
-    a unit finishes `_CHECKPOINT_EVERY_S` or more after the last write, and
-    on every way out: complete, budget spent, or any exception, including
-    KeyboardInterrupt, which a failed final write does not hide.  So only a
-    hard kill (SIGKILL, out of memory) loses finished units: those that
-    finished less than `_CHECKPOINT_EVERY_S` after the last write.  Once the
-    budget has run out no further result is awaited and the report is
-    partial, with a resume token.  A worker that dies raises RuntimeError
+    min(jobs, units to run, usable CPUs) is 1, else on that many worker
+    processes.  The checkpoint, its records in key order, is written before
+    the first unit, then when a unit finishes `_CHECKPOINT_EVERY_S` or more
+    after the last write, and on every way out: complete, budget spent, or
+    any exception, including KeyboardInterrupt, which a failed final write
+    does not hide.  So only a hard kill (SIGKILL, out of memory) loses
+    finished units: those that finished less than `_CHECKPOINT_EVERY_S`
+    after the last write.  Once the budget has run out no further result is
+    awaited and the report is partial, with a resume token.  A worker that dies raises RuntimeError
     naming its unit and exit code.  Leaving the loop, on budget or on error,
     terminates the worker processes.
     """
@@ -537,7 +574,12 @@ def _sweep(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if budget is not None and not math.isfinite(budget):
         raise ValueError(f"budget must be a finite number of seconds, got {budget}")
-    keys = [format_perm(p) for p in all_perms(n)]
+    perms = list(all_perms(n))
+    keys = [format_perm(p) for p in perms]
+    *_, mirrored = SWEEPS[mode]
+    # unit u's partner: rc(u) in a mirrored sweep, else u itself
+    images = list(map(_conjugate, perms)) if mirrored else perms
+    partner = dict(zip(keys, map(format_perm, images)))
     done: dict[str, dict] = {}
     prior = 0.0
     if resume is not None:
@@ -545,12 +587,21 @@ def _sweep(
         if resume["mode"] != mode or resume["n"] != n:
             raise ValueError("resume token does not match this sweep")
         done = dict(resume["done"])
+        if not done.keys() <= partner.keys():
+            raise ValueError("resume token records units that are not permutations"
+                             f" of S_{n}")
+        if mirrored and not all(
+            isinstance(v, str) and v in partner for r in done.values() for v in r["fails"]
+        ):
+            raise ValueError(f"resume token lists fails that are not permutations of S_{n}")
         prior = float(resume.get("elapsed", 0.0))
-    pending = [k for k in keys if k not in done]
+    for key in [k for k in done if partner[k] not in done]:
+        done[partner[key]] = _mirror(done[key])
+    pending = [k for k, p, q in zip(keys, perms, images) if p <= q and k not in done]
     start = saved = time.monotonic()
     # each record is serialized once, and a write joins them: the file's
     # text is json.dumps of the token {mode, n, elapsed, done}
-    records = [f"{json.dumps(k)}: {json.dumps(r)}" for k, r in done.items()]
+    records = {k: f"{json.dumps(k)}: {json.dumps(r)}" for k, r in done.items()}
 
     def save() -> float:
         """Write the checkpoint, if any, and note when; return the elapsed
@@ -560,7 +611,8 @@ def _sweep(
         elapsed = prior + (saved - start)
         if checkpoint_path is not None:
             head = json.dumps({"mode": mode, "n": n, "elapsed": elapsed})[:-1]
-            text = head + ', "done": {' + ", ".join(records) + "}}"
+            body = ", ".join(records[k] for k in keys if k in records)
+            text = head + ', "done": {' + body + "}}"
             _write_checkpoint(checkpoint_path, text)
         return elapsed
 
@@ -600,12 +652,14 @@ def _sweep(
                     ready[0].send(following)
             else:
                 break
-            done[key] = record
-            records.append(f"{json.dumps(key)}: {json.dumps(record)}")
-            if time.monotonic() - saved >= _CHECKPOINT_EVERY_S:
-                save()
-            if progress is not None:
-                progress(len(done), len(keys), key)
+            derived = [(partner[key], _mirror(record))] if partner[key] != key else []
+            for key, record in [(key, record), *derived]:
+                done[key] = record
+                records[key] = f"{json.dumps(key)}: {json.dumps(record)}"
+                if time.monotonic() - saved >= _CHECKPOINT_EVERY_S:
+                    save()
+                if progress is not None:
+                    progress(len(done), len(keys), key)
     except BaseException:
         with suppress(ValueError):  # the original error is the one to report
             save()

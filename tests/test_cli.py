@@ -247,9 +247,10 @@ def test_verify_resume_mode_mismatch(capsys, tmp_path):
         {"mode": "ps-mconvex", "n": True, "done": {}},
         {"mode": "ps-mconvex", "n": 3, "elapsed": float("nan"), "done": {}},
         {"mode": "ps-mconvex", "n": 3, "elapsed": 10**400, "done": {}},
+        {"mode": "ps-mconvex", "n": 3, "done": {"123": {"pairs": -5, "fails": []}}},
     ],
     ids=["json-list", "record-without-fails", "bool-pairs", "bool-n", "nan-elapsed",
-         "elapsed-beyond-float"],
+         "elapsed-beyond-float", "negative-pairs"],
 )
 def test_verify_malformed_resume_is_usage_error(capsys, tmp_path, token):
     ckpt = tmp_path / "sweep.json"
@@ -260,6 +261,27 @@ def test_verify_malformed_resume_is_usage_error(capsys, tmp_path, token):
     )
     assert rc == 2
     assert err.startswith("error: malformed resume token")
+
+
+@pytest.mark.parametrize(
+    "done, error",
+    [
+        ({"123": {"pairs": 6, "fails": []}, "9999": {"pairs": 7, "fails": ["x"]}},
+         "records units that are not permutations of S_3"),
+        ({"132": {"pairs": 4, "fails": ["x"]}}, "lists fails that are not permutations"),
+        ({"132": {"pairs": 4, "fails": [321]}}, "lists fails that are not permutations"),
+    ],
+    ids=["foreign-unit", "foreign-fail", "non-string-fail"],
+)
+def test_verify_resume_outside_the_group_is_usage_error(capsys, tmp_path, done, error):
+    ckpt = tmp_path / "sweep.json"
+    ckpt.write_text(json.dumps({"mode": "ps-mconvex", "n": 3, "done": done}))
+    rc, _, err = run(
+        capsys,
+        "verify", "--mode", "ps-mconvex", "--n", "3", "--resume", str(ckpt),
+    )
+    assert rc == 2
+    assert err.startswith("error: resume token") and error in err
 
 
 def test_verify_missing_resume_file_is_usage_error(capsys, tmp_path):

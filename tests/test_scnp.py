@@ -31,6 +31,7 @@ from dualschubert import (
     postnikov_stanley_dp,
     ps_support,
     support_table_above,
+    up_covers,
     verify_ps_mconvex,
     verify_scnp_pattern,
     verify_theorems,
@@ -283,6 +284,45 @@ def test_scnp_implies_snp_s4():
             assert is_snp(postnikov_stanley_dp(u, w))
 
 
+def test_conjugation_is_a_bruhat_automorphism_reversing_labels_s4():
+    for v in all_perms(4):
+        rc = scnp._conjugate(v)
+        assert scnp._conjugate(rc) == v
+        assert length(rc) == length(v)
+        mirrored = {(scnp._conjugate(v2), (5 - b, 5 - a)) for v2, (a, b) in up_covers(v)}
+        assert mirrored == set(up_covers(rc))
+
+
+def partner(key: str) -> str:
+    return format_perm(scnp._conjugate(parse_perm(key)))
+
+
+MIRRORED = [mode for mode, (*_, mirrored) in scnp.SWEEPS.items() if mirrored]
+
+
+@pytest.mark.parametrize(
+    "mode, n", [(mode, n) for mode in MIRRORED for n in (3, 4, 5)] + [("scnp-pattern", 6)]
+)
+def test_mirrored_record_is_the_partner_unit(mode, n):
+    records = {format_perm(p): scnp._run_unit(mode, n, format_perm(p)) for p in all_perms(n)}
+    for key, record in records.items():
+        assert scnp._mirror(record) == records[partner(key)], key
+
+
+@pytest.mark.parametrize(
+    "mode, n, keys",
+    [
+        ("ps-mconvex", 6, ["213456", "132546", "214365", "345612", "516234", "625143"]),
+        ("ps-mconvex", 7, ["2375614", "7152346"]),
+        ("scnp-pattern", 7, ["1324567", "2143567"]),
+    ],
+)
+def test_mirrored_record_is_the_partner_unit_sample(mode, n, keys):
+    for key in keys:
+        record = scnp._run_unit(mode, n, key)
+        assert scnp._mirror(record) == scnp._run_unit(mode, n, partner(key)), key
+
+
 def test_verify_ps_mconvex_small():
     r3 = verify_ps_mconvex(3)
     assert r3.ok() and r3.complete
@@ -348,6 +388,51 @@ def test_budget_zero_yields_resumable_partial(mode, tmp_path):
     assert full.ok()
     assert without_elapsed(full) == without_elapsed(serial)
     assert checkpoint_done(path) == checkpoint_done(serial_path)
+
+
+@pytest.mark.parametrize("mode, n", [("ps-mconvex", 4), ("scnp-pattern", 5)])
+@pytest.mark.parametrize("held", ["source", "derived", "key-order-prefix"])
+def test_resume_completes_half_done_pairs(mode, n, held, tmp_path):
+    verify = VERIFY[mode]
+    serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
+    serial = verify(n, checkpoint_path=serial_path)
+    done = checkpoint_done(serial_path)
+    keys = [format_perm(p) for p in all_perms(n)]
+    source = "12435" if n == 5 else "1243"  # unit 13245 (2134) is its mirror
+    held_keys = {
+        "source": [source],
+        "derived": [partner(source)],
+        "key-order-prefix": keys[: len(keys) // 3],  # as a serial sweep writes them
+    }[held]
+    token = {"mode": mode, "n": n, "elapsed": 1.0, "done": {k: done[k] for k in held_keys}}
+    assert any(partner(k) not in held_keys for k in held_keys)
+    calls = []
+    resumed = verify(n, resume=token, checkpoint_path=path,
+                     progress=lambda d, total, key: calls.append((d, key)))
+    assert without_elapsed(resumed) == without_elapsed(serial)
+    assert checkpoint_done(path) == done
+    # the missing halves were derived up front, without a progress call
+    derived = {partner(k) for k in held_keys} - set(held_keys)
+    assert not derived & {key for _, key in calls}
+    assert calls[0][0] == len(held_keys) + len(derived) + 1
+    assert len(calls) == len(keys) - len(held_keys) - len(derived)
+
+
+def test_mirrored_sweep_runs_one_unit_per_pair(monkeypatch):
+    ran, run_unit = [], scnp._run_unit
+
+    def counted(mode, n, key):
+        ran.append(key)
+        return run_unit(mode, n, key)
+
+    monkeypatch.setattr(scnp, "_run_unit", counted)
+    seen = []
+    verify_scnp_pattern(5, progress=lambda d, total, key: seen.append(key))
+    assert len(ran) == 64 and all(parse_perm(k) <= parse_perm(partner(k)) for k in ran)
+    assert sorted(seen) == [format_perm(p) for p in all_perms(5)]
+    ran.clear()
+    verify_theorems(4)
+    assert len(ran) == 24
 
 
 def test_resume_rejects_mismatched_token():
@@ -508,16 +593,16 @@ def test_dead_worker_is_named_and_finished_units_kept(monkeypatch, tmp_path):
     run_unit = scnp._run_unit
 
     def dying(mode, n, key):
-        if key == "2134":
+        if key == "1243":
             os._exit(9)
         return run_unit(mode, n, key)
 
     monkeypatch.setattr(scnp, "_run_unit", dying)
-    with pytest.raises(RuntimeError, match="unit 2134 died with exit code 9"):
+    with pytest.raises(RuntimeError, match="unit 1243 died with exit code 9"):
         verify_scnp_pattern(4, jobs=2, checkpoint_path=path)
     assert multiprocessing.active_children() == []
     done, serial = checkpoint_done(path), checkpoint_done(serial_path)
-    assert done and "2134" not in done
+    assert done and "1243" not in done and "2134" not in done  # nor its mirror
     assert done == {key: serial[key] for key in done}
 
 
