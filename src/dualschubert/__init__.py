@@ -50,7 +50,6 @@ from .polytope import (
     is_snp,
     m_convex_certificate,
     m_convex_failure,
-    minkowski_support,
     newton_vertices_coeff1,
     segment_rank,
 )

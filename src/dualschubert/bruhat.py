@@ -180,13 +180,14 @@ def enumerate_chains(u: Perm, w: Perm) -> Iterator[SaturatedChain]:
     """All saturated chains from u to w, as a stream.
 
     Children are explored in lexicographic label order, so the stream is
-    ordered by the label word.  A walk climbs only by covers that stay in
-    [u, w]; every element of [u, w] below w has such a cover (Bruhat order
-    is graded), so every walk ends at w.  An incomparable pair yields an
-    empty stream.
+    ordered by the label word.  A walk climbs only by covers that stay below
+    w, so within [u, w]; every element of [u, w] below w has such a cover
+    (Bruhat order is graded), so every walk ends at w.  Each element met is
+    compared with w once, when first met, so the first chain comes after a
+    single climb.  An incomparable pair yields an empty stream.
     """
     u, w = validate(u), validate(w)
-    inside = interval_elements(u, w)
+    below: dict[Perm, bool] = {}  # bruhat_leq(v, w) for each v met so far
 
     def walk(
         v: Perm, nodes: tuple[Perm, ...], labels: tuple[PositionPair, ...]
@@ -195,10 +196,12 @@ def enumerate_chains(u: Perm, w: Perm) -> Iterator[SaturatedChain]:
             yield SaturatedChain(nodes, labels)
             return
         for v2, lab in _covers(v)[0]:
-            if v2 in inside:
+            if (inside := below.get(v2)) is None:
+                inside = below[v2] = bruhat_leq(v2, w)
+            if inside:
                 yield from walk(v2, nodes + (v2,), labels + (lab,))
 
-    if inside:
+    if bruhat_leq(u, w):
         yield from walk(u, (u,), ())
 
 
@@ -238,7 +241,8 @@ def is_greedy(chain: SaturatedChain, u: Perm, w: Perm) -> bool:
 
     Each step label (a, b) into v_i must admit no widening: no cover of v_i
     from below with label (a, b'), b' > b, or (a', b), a' < a, whose lower
-    endpoint lies in the interval [u, w].
+    endpoint lies in the interval [u, w].  That endpoint is below v_i, which
+    is at most w, so only u <= v2 needs a comparison.
 
     >>> c = SaturatedChain(((1,2,3), (2,1,3), (2,3,1), (3,2,1)),
     ...                    ((1, 2), (2, 3), (1, 2)))
@@ -252,7 +256,7 @@ def is_greedy(chain: SaturatedChain, u: Perm, w: Perm) -> bool:
         v = chain.nodes[i + 1]
         for v2, (x, y) in _covers(v)[1]:
             wider = (x == a and y > b) or (y == b and x < a)
-            if wider and bruhat_leq(u, v2) and bruhat_leq(v2, w):
+            if wider and bruhat_leq(u, v2):
                 return False
     return True
 

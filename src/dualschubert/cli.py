@@ -35,7 +35,7 @@ from .polytope import (
     m_convex_failure,
     newton_vertices_coeff1,
 )
-from .scnp import is_scnp
+from .scnp import is_scnp, ps_support
 from .tiling import (
     build_diagram,
     render_diagram,
@@ -99,8 +99,7 @@ def _cmd_gw(args) -> int:
 
 def _cmd_support(args) -> int:
     u, w = _endpoints(args)
-    f = postnikov_stanley_dp(u, w)
-    _print_points(f.support(), f.nvars, args.json)
+    _print_points(ps_support(u, w), len(w) - 1, args.json)
     return 0
 
 
@@ -245,8 +244,7 @@ def _cmd_check_snp(args) -> int:
 
 def _cmd_check_mconvex(args) -> int:
     u, w = _endpoints(args)
-    supp = postnikov_stanley_dp(u, w).support()
-    failure = m_convex_failure(supp)
+    failure = m_convex_failure(ps_support(u, w))
     if args.json:
         rec = None
         if failure is not None:

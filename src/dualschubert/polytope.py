@@ -175,24 +175,6 @@ def hull_vertices(points: Iterable[tuple]) -> frozenset[tuple]:
 # -- supports and their polytopes ---------------------------------------------
 
 
-def minkowski_support(w: Perm) -> frozenset[LatticePoint]:
-    """Minkowski sum, over the inversions (a, b) of w, of {e_a, ..., e_{b-1}}.
-
-    Equals the support of the global weight polynomial term for term.  Tests
-    use this set route as a reference independent of `poly`'s segment step.
-
-    >>> sorted(minkowski_support((3, 2, 1)))
-    [(1, 2), (2, 1)]
-    """
-    w = validate(w)
-    pts: frozenset[LatticePoint] = frozenset({(0,) * (len(w) - 1)})
-    for a, b in sorted(inversions(w)):
-        pts = frozenset(
-            p[:i] + (p[i] + 1,) + p[i + 1 :] for p in pts for i in range(a - 1, b - 1)
-        )
-    return pts
-
-
 def segment_rank(seg: PositionPair, subset: Iterable[int]) -> int:
     """1 when the coordinate set {a, ..., b-1} meets the subset, else 0.
 

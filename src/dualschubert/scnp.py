@@ -492,12 +492,19 @@ def _write_checkpoint(path, text: str) -> None:
         raise ValueError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _check_token(token) -> None:
-    """Raise ValueError unless token has the shape `_sweep` writes.
+def _read_token(
+    token, mode: str, n: int, partner: dict, mirrored: bool
+) -> tuple[dict, float]:
+    """The records and elapsed seconds of a resume token for this sweep,
+    ({}, 0.0) for None; ValueError unless it is one `_sweep` could write.
 
-    Counts must be ints, not bools (True == 1), and elapsed a number that
-    is finite as a float: Python's json reads NaN and Infinity.
+    Counts must be ints, not bools (True == 1), and elapsed a non-negative
+    number that is finite as a float: Python's json reads NaN and Infinity.
+    The mode and rank must be this sweep's, every unit a key of `partner`,
+    and in a mirrored sweep, which conjugates fails, every fail one too.
     """
+    if token is None:
+        return {}, 0.0
     token = token if isinstance(token, dict) else {}
     done, elapsed = token.get("done"), token.get("elapsed", 0.0)
     if not (
@@ -505,7 +512,7 @@ def _check_token(token) -> None:
         and "mode" in token
         and type(token.get("n")) is int
         and type(elapsed) in (int, float)
-        and abs(elapsed) <= sys.float_info.max
+        and 0 <= elapsed <= sys.float_info.max
         and all(
             isinstance(r, dict)
             and type(r.get("pairs")) is int
@@ -519,6 +526,15 @@ def _check_token(token) -> None:
             " elapsed and done, with non-negative integer pairs and a fails"
             " list in every record"
         )
+    if token["mode"] != mode or token["n"] != n:
+        raise ValueError("resume token does not match this sweep")
+    if not done.keys() <= partner.keys():
+        raise ValueError(f"resume token records units that are not permutations of S_{n}")
+    if mirrored and not all(
+        isinstance(v, str) and v in partner for r in done.values() for v in r["fails"]
+    ):
+        raise ValueError(f"resume token lists fails that are not permutations of S_{n}")
+    return dict(done), float(elapsed)
 
 
 def _usable_cpus() -> int:
@@ -541,11 +557,12 @@ def _serve(conn, mode: str, n: int) -> None:
 def _sweep(
     mode: str,
     n: int,
-    jobs: int,
-    budget: float | None,
-    resume: dict | None,
-    checkpoint_path,
-    progress: Callable[[int, int, str], None] | None,
+    *,
+    jobs: int = 1,
+    budget: float | None = None,
+    resume: dict | None = None,
+    checkpoint_path=None,
+    progress: Callable[[int, int, str], None] | None = None,
 ) -> ConjectureReport:
     """Run the units of SWEEPS[mode] over S_n and merge them into a report.
 
@@ -557,9 +574,9 @@ def _sweep(
     (module docstring).  rc is an involution, so a resumed pair with either
     half recorded gets the other half up front, with no progress call.
 
-    Units recorded in `resume` are skipped.  The rest run in-process when
-    min(jobs, units to run, usable CPUs) is 1, else on that many worker
-    processes.  The checkpoint, its records in key order, is written before
+    Units recorded in `resume`, a token `_read_token` accepts, are skipped.
+    The rest run in-process when min(jobs, units to run, usable CPUs) is 1,
+    else on that many worker processes.  The checkpoint, its records in key order, is written before
     the first unit, then when a unit finishes `_CHECKPOINT_EVERY_S` or more
     after the last write, and on every way out: complete, budget spent, or
     any exception, including KeyboardInterrupt, which a failed final write
@@ -580,21 +597,7 @@ def _sweep(
     # unit u's partner: rc(u) in a mirrored sweep, else u itself
     images = list(map(_conjugate, perms)) if mirrored else perms
     partner = dict(zip(keys, map(format_perm, images)))
-    done: dict[str, dict] = {}
-    prior = 0.0
-    if resume is not None:
-        _check_token(resume)
-        if resume["mode"] != mode or resume["n"] != n:
-            raise ValueError("resume token does not match this sweep")
-        done = dict(resume["done"])
-        if not done.keys() <= partner.keys():
-            raise ValueError("resume token records units that are not permutations"
-                             f" of S_{n}")
-        if mirrored and not all(
-            isinstance(v, str) and v in partner for r in done.values() for v in r["fails"]
-        ):
-            raise ValueError(f"resume token lists fails that are not permutations of S_{n}")
-        prior = float(resume.get("elapsed", 0.0))
+    done, prior = _read_token(resume, mode, n, partner, mirrored)
     for key in [k for k in done if partner[k] not in done]:
         done[partner[key]] = _mirror(done[key])
     pending = [k for k, p, q in zip(keys, perms, images) if p <= q and k not in done]
@@ -683,46 +686,22 @@ def _sweep(
     )
 
 
-def verify_ps_mconvex(
-    n: int,
-    *,
-    jobs: int = 1,
-    budget: float | None = None,
-    resume: dict | None = None,
-    checkpoint_path=None,
-    progress=None,
-) -> ConjectureReport:
+def verify_ps_mconvex(n: int, **options) -> ConjectureReport:
     """Is the interval weight support M-convex for every pair u <= w in S_n?"""
-    return _sweep("ps-mconvex", n, jobs, budget, resume, checkpoint_path, progress)
+    return _sweep("ps-mconvex", n, **options)
 
 
-def verify_scnp_pattern(
-    n: int,
-    *,
-    jobs: int = 1,
-    budget: float | None = None,
-    resume: dict | None = None,
-    checkpoint_path=None,
-    progress=None,
-) -> ConjectureReport:
+def verify_scnp_pattern(n: int, **options) -> ConjectureReport:
     """Check the pattern law for single-chain failures over all of S_n.
 
     A lower endpoint u should admit some w >= u without the single-chain
     property exactly when u contains LOWER_PATTERN; dually an upper endpoint
     w should admit such a u <= w exactly when w contains UPPER_PATTERN.
     """
-    return _sweep("scnp-pattern", n, jobs, budget, resume, checkpoint_path, progress)
+    return _sweep("scnp-pattern", n, **options)
 
 
-def verify_theorems(
-    n: int,
-    *,
-    jobs: int = 1,
-    budget: float | None = None,
-    resume: dict | None = None,
-    checkpoint_path=None,
-    progress=None,
-) -> ConjectureReport:
+def verify_theorems(n: int, **options) -> ConjectureReport:
     """Exhaustively re-verify the structural theorems at rank n.
 
     Per w: support of the interval weight polynomial equals the global
@@ -731,4 +710,4 @@ def verify_theorems(
     inversion polytope's integer points equal the support; and the three
     vertex enumeration methods agree.
     """
-    return _sweep("paper-theorems", n, jobs, budget, resume, checkpoint_path, progress)
+    return _sweep("paper-theorems", n, **options)

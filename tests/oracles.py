@@ -195,6 +195,19 @@ def add_segment(points, a, b):
     )
 
 
+def minkowski_support(w):
+    """Minkowski sum, over the inversions (a, b) of w, of {e_a, ..., e_{b-1}}.
+
+    Equals the support of the global weight polynomial term for term: a set
+    route independent of the package's segment step.
+    """
+    points = frozenset({(0,) * (len(w) - 1)})
+    for a, b in combinations(range(1, len(w) + 1), 2):
+        if w[a - 1] > w[b - 1]:
+            points = add_segment(points, a, b)
+    return points
+
+
 def support_table_by_union(u):
     """Support of [u, v] for every v >= u, by a set-union DP over brute-force covers.
 

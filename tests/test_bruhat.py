@@ -25,6 +25,7 @@ from dualschubert import (
     parse_perm,
     trivial_chain,
 )
+from dualschubert import bruhat
 
 from oracles import (
     bruhat_leq_bruteforce,
@@ -154,6 +155,18 @@ def test_enumerate_chains_s3_fixture():
 def test_enumerate_chains_counts_match_bruteforce_s4():
     for u, w in comparable_pairs(4):
         assert sum(1 for _ in enumerate_chains(u, w)) == chain_count_bruteforce(u, w)
+
+
+def test_enumerate_chains_streams_and_compares_each_element_once(monkeypatch):
+    # the first chain costs only the covers of its own nodes, not the interval's
+    bruhat._covers.cache_clear()
+    first = next(enumerate_chains(identity(6), longest_element(6)))
+    assert bruhat._covers.cache_info().currsize == len(first)
+    compared, leq = Counter(), bruhat.bruhat_leq
+    monkeypatch.setattr(bruhat, "bruhat_leq", lambda v, w: compared.update([v]) or leq(v, w))
+    u, w = parse_perm("12345"), parse_perm("34512")
+    assert sum(1 for _ in enumerate_chains(u, w)) == chain_count_bruteforce(u, w)
+    assert set(compared.values()) == {1}
 
 
 def test_enumerate_chains_endpoints_and_incomparable():

@@ -248,9 +248,10 @@ def test_verify_resume_mode_mismatch(capsys, tmp_path):
         {"mode": "ps-mconvex", "n": 3, "elapsed": float("nan"), "done": {}},
         {"mode": "ps-mconvex", "n": 3, "elapsed": 10**400, "done": {}},
         {"mode": "ps-mconvex", "n": 3, "done": {"123": {"pairs": -5, "fails": []}}},
+        {"mode": "ps-mconvex", "n": 3, "elapsed": -50.0, "done": {}},
     ],
     ids=["json-list", "record-without-fails", "bool-pairs", "bool-n", "nan-elapsed",
-         "elapsed-beyond-float", "negative-pairs"],
+         "elapsed-beyond-float", "negative-pairs", "negative-elapsed"],
 )
 def test_verify_malformed_resume_is_usage_error(capsys, tmp_path, token):
     ckpt = tmp_path / "sweep.json"

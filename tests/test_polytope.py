@@ -25,7 +25,6 @@ from dualschubert import (
     length,
     m_convex_certificate,
     m_convex_failure,
-    minkowski_support,
     newton_vertices_coeff1,
     segment_poly,
     segment_rank,
@@ -36,7 +35,7 @@ from dualschubert.polytope import _exchange_failure, _snp_by_hull, compositions
 from dualschubert.scnp import support_table_above
 from dualschubert.tiling import vertices_via_tilings
 
-from oracles import hull_contains_bruteforce
+from oracles import hull_contains_bruteforce, minkowski_support
 
 
 def frac_poly(nvars, exps):

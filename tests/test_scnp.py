@@ -390,6 +390,24 @@ def test_budget_zero_yields_resumable_partial(mode, tmp_path):
     assert checkpoint_done(path) == checkpoint_done(serial_path)
 
 
+@pytest.mark.parametrize("mode", list(scnp.SWEEPS))
+def test_verify_passes_every_option_through(mode, tmp_path):
+    verify, path = VERIFY[mode], tmp_path / "sweep.json"
+    partial = verify(3, jobs=2, budget=0, checkpoint_path=path)
+    assert not partial.complete and partial.resume_token["mode"] == mode
+    assert json.loads(path.read_text()) == partial.resume_token
+    seen = []
+    full = verify(3, jobs=2, resume=partial.resume_token,
+                  progress=lambda d, total, key: seen.append(key))
+    assert full.complete and sorted(seen) == [format_perm(p) for p in all_perms(3)]
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        verify(3, jobs=0)
+    with pytest.raises(TypeError):
+        verify(3, budgets=0)
+    with pytest.raises(TypeError):
+        verify(3, 1)
+
+
 @pytest.mark.parametrize("mode, n", [("ps-mconvex", 4), ("scnp-pattern", 5)])
 @pytest.mark.parametrize("held", ["source", "derived", "key-order-prefix"])
 def test_resume_completes_half_done_pairs(mode, n, held, tmp_path):
