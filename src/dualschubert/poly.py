@@ -18,6 +18,12 @@ fold `_count_table`, which splits each chain of an interval at its last cover
 and sums chain weights with integer coefficients; those sums are divided by
 r! once, when a polynomial is read out.
 
+The same cover-split fold has a second step, for supports.  Every
+coefficient is positive, so nothing cancels: the support of a sum is the
+union of the supports, and a segment product shifts each monomial by each of
+the segment's variables.  `_key_table` folds those key sets with no
+coefficients; `_count_table` is for coefficients only.
+
 Inside those products a monomial is one int, not a tuple: the exponent of x_i
 sits in bits [W(i-1), Wi), so multiplying by x_i adds 1 << W(i-1).  In S_n the
 exponent of x_k is at most k(n-k) (`_field_width`), so W is the bit length of
@@ -306,16 +312,13 @@ def postnikov_stanley_chainsum(u: Perm, w: Perm) -> SparsePolynomial:
     return total * Fraction(1, factorial(length(w) - length(u)))
 
 
-def _count_table(u: Perm, w: Perm, covers=None) -> dict[Perm, dict]:
+def _count_table(u: Perm, w: Perm) -> dict[Perm, dict]:
     """Every v in [u, w] -> the sum of the chain weights of [u, v], as int terms.
 
     Keys are packed monomials (see the module docstring; read them back with
     `_unpacker`): one int per monomial, W = `_field_width` bits per variable,
     and no field overflows because no chain puts more than k(n-k) labels on
-    x_k.  Every coefficient is positive, so nothing cancels: the keys of a
-    sum are the union of the keys, and a segment step Minkowski-adds the
-    segment to them.  The keys are therefore the support of [u, v].  Pass
-    `covers` when interval_covers(u, w) is already at hand.
+    x_k.
     """
     width = _field_width(len(w) - 1)
 
@@ -325,7 +328,28 @@ def _count_table(u: Perm, w: Perm, covers=None) -> dict[Perm, dict]:
             _times_segment(prev, a, b, out, width)
         return out
 
-    return bruhat._interval_fold(u, w, {0: 1}, step, covers)
+    return bruhat._interval_fold(u, w, {0: 1}, step)
+
+
+def _key_table(u: Perm, w: Perm, covers=None) -> dict[Perm, set]:
+    """Every v in [u, w] -> the support of [u, v], as a set of packed monomials.
+
+    The keys of `_count_table`, folded without coefficients: the support of
+    [u, v] is the union, over covers v' < v in [u, w] with label (a, b), of
+    the support of [u, v'] shifted by each of x_a, ..., x_{b-1}.  Pass
+    `covers` when interval_covers(u, w) is already at hand.
+    """
+    width = _field_width(len(w) - 1)
+
+    def step(v: Perm, below) -> set:
+        out: set = set()
+        for prev, (a, b) in below:
+            for i in range(a - 1, b - 1):
+                bit = 1 << width * i
+                out.update([e + bit for e in prev])
+        return out
+
+    return bruhat._interval_fold(u, w, {0}, step, covers)
 
 
 def _read_out(counts: dict, steps: int, nvars: int) -> SparsePolynomial:

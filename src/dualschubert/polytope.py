@@ -23,13 +23,13 @@ integer point of the polytope z_S defines (Murota, "Discrete Convex
 Analysis", 2003); that polytope is then conv(S), and its vertices are its
 greedy points (Edmonds, "Submodular functions, matroids, and certain
 polyhedra", 1970).  S lies inside that polytope by the definition of z_S,
-so "S is every integer point" is a count: `_base_count` walks the
-polytope's points one coordinate short of the end, and `_fills_base`
-compares that count with |S|.  `m_convex_certificate` checks this from the
-points, and the ps-mconvex sweep from floors and counts it folds without
-building S.  The certificate alone decides M-convexity; `is_snp` and the
-paper-theorems sweep try it before the simplex, and the exchange-pair loop
-runs only to name a rejected set's witness.
+so "S is every integer point" is a count: `_base_size` walks the points of
+the polytope of a supermodular z one coordinate short of the end, and the
+certificate compares that count with |S|.  `m_convex_certificate` checks
+this from the points, and the ps-mconvex sweep from the floors it folds and
+the size of a key set.  The certificate alone decides M-convexity; `is_snp`
+and the paper-theorems sweep try it before the simplex, and the
+exchange-pair loop runs only to name a rejected set's witness.
 """
 
 from __future__ import annotations
@@ -276,16 +276,21 @@ def _base_points(z: Sequence[int], n: int):
     return walk(0, [0], ())
 
 
-def _base_count(z: Sequence[int], n: int) -> int:
-    """How many points `_base_points` yields, for a supermodular z with z(empty) = 0.
+def _base_size(z: Sequence[int], n: int) -> int:
+    """How many integer points the base polytope P(z) has when z, with
+    z(empty) = 0, is supermodular; 0 when it is not.
 
-    The same walk, stopped one coordinate early.  For a supermodular z every
+    No point set is empty, so a set with floors z fills P(z) exactly when
+    this is its size.  The count is the walk of `_base_points`, stopped one
+    coordinate early.  For a supermodular z every
     value in a prefix's range extends to a point, so the second-to-last
     coordinate contributes its range's length; and the last coordinate is
     then fixed, to z(full) minus the others, since I = everything before it
     gives it equal bounds.  With fewer than two coordinates there is exactly
     one point.
     """
+    if not _is_supermodular(z, n):
+        return 0
     if n < 2:
         return 1
     bounds, last = _walk_bounds(z, n), n - 2
@@ -298,16 +303,6 @@ def _base_count(z: Sequence[int], n: int) -> int:
         return sum(walk(k + 1, sums + [s + v for s in sums]) for v in range(lo, hi + 1))
 
     return walk(0, [0])
-
-
-def _fills_base(z: Sequence[int], n: int, size: int) -> bool:
-    """Is a set of `size` points with floors z, z(I) = min over the set of
-    sum(t_i, i in I), every integer point of the base polytope P(z)?
-
-    The set lies inside P(z) by the definition of z, so equal counts mean
-    equal sets.  This decides M-convexity; see `m_convex_certificate`.
-    """
-    return _is_supermodular(z, n) and _base_count(z, n) == size
 
 
 class GeneralizedPermutahedron:
@@ -467,7 +462,7 @@ def m_convex_certificate(
     With z(I) = min over the points of sum(p_i, i in I) for every subset I,
     the points pass when they share one coordinate sum, z is supermodular,
     and the polytope P(z) has as many integer points as the set
-    (`_fills_base`).  Why this is exact: P(z) is then an integral
+    (`_base_size`).  Why this is exact: P(z) is then an integral
     base polytope, so its integer points, which are the set, are M-convex;
     the set is every integer point of P(z), so conv(set) = P(z) and the set
     has SNP; and the vertices of P(z) are its greedy points.  Conversely an
@@ -494,7 +489,7 @@ def m_convex_certificate(
             fill(mask | 1 << k, grown, k + 1)
 
     fill(0, [0] * len(pts), 0)
-    if not _fills_base(z, d, len(pts)):
+    if _base_size(z, d) != len(pts):
         return None
     return GeneralizedPermutahedron(d, dict(zip(_mask_subsets(d), z)))
 

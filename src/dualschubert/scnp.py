@@ -14,10 +14,11 @@ chain: a prefix exceeding z_T on a segment is cut.  `is_scnp` reads z_T off
 the support, tries the greedy chain for its witness, then a DFS over (node,
 counts); the scnp-pattern sweep uses floors alone (`_floor_fold`).
 
-Supports are the key sets of the integer chain-weight sums that also give
-the coefficients (`poly._count_table`, one packed int per monomial): every
-coefficient is positive, so the keys are exactly the support.  Tests pin
-this against a set-union dynamic program and against the rational
+Supports come from the key-set fold `poly._key_table`, one packed int per
+monomial: the support of [u, v] is the union, over the last covers of its
+chains, of the support below shifted by the cover's segment, with no
+coefficients carried.  Tests pin this against a set-union dynamic program,
+against the keys of the coefficient fold and against the rational
 coefficients.
 
 Label counts and floors are packed ints, one field per coordinate set: the
@@ -26,12 +27,13 @@ packed 0/1 counts and says why no field carries or borrows, so a chain's
 counts are a sum of steps, a comparison with z_T is one subtract and mask,
 and the floor fold's min is a few operations on whole ints.
 
-The ps-mconvex sweep builds no support.  One interval walk feeds two folds:
-the count fold gives |T| as a key count, and the floor fold, widened from
-the segments to every coordinate subset, gives z_T on all 2^(n-1) subsets.
-T always lies inside the polytope P(z_T), so T is its every integer point
-exactly when the point count of P(z_T) is |T|; with z_T supermodular that
-is M-convexity (`polytope._fills_base`).
+The ps-mconvex sweep reads no support point.  One interval walk feeds two
+folds: the key-set fold gives |T| as a set's size, and the floor fold,
+widened from the segments to every coordinate subset, gives z_T on all
+2^(n-1) subsets.  T always lies inside the polytope P(z_T), so T is its
+every integer point exactly when the point count of P(z_T) is |T|; with z_T
+supermodular that is M-convexity (`polytope._base_size`, which counts 0
+when z_T is not supermodular).
 
 Conjugation rc(v) = w0 v w0 is an automorphism of Bruhat order that fixes
 w0 (Bjorner-Brenti 2005).  It turns the cover label (a, b) into
@@ -85,9 +87,9 @@ from .perm import (
     parse_perm,
     validate,
 )
-from .poly import _count_table, _unpacker, chain_weight, dual_schubert, global_weight
+from .poly import _key_table, _unpacker, chain_weight, dual_schubert, global_weight
 from .polytope import (
-    _fills_base,
+    _base_size,
     gp_from_inversions,
     hull_vertices,
     is_snp,
@@ -162,13 +164,13 @@ class ConjectureReport:
 
 
 def ps_support(u: Perm, w: Perm) -> frozenset:
-    """Support of the interval weight polynomial of [u, w]: its count table's keys."""
+    """Support of the interval weight polynomial of [u, w], by the key-set fold."""
     u, w = validate(u), validate(w)
     if not bruhat_leq(u, w):
         raise ValueError(
             f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
         )
-    return frozenset(map(_unpacker(len(u) - 1), _count_table(u, w)[w]))
+    return frozenset(map(_unpacker(len(u) - 1), _key_table(u, w)[w]))
 
 
 def support_table_above(u: Perm) -> dict[Perm, frozenset]:
@@ -179,8 +181,8 @@ def support_table_above(u: Perm) -> dict[Perm, frozenset]:
     """
     u = validate(u)
     unpack = lru_cache(maxsize=None)(_unpacker(len(u) - 1))
-    table = _count_table(u, longest_element(len(u)))
-    return {v: frozenset(map(unpack, c)) for v, c in table.items()}
+    table = _key_table(u, longest_element(len(u)))
+    return {v: frozenset(map(unpack, keys)) for v, keys in table.items()}
 
 
 # -- the single-chain decision -------------------------------------------------
@@ -332,28 +334,41 @@ def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
 
 
 @lru_cache(maxsize=2)
-def _counts_cached(n: int) -> dict[Perm, dict]:
-    """Every rank-n dual Schubert polynomial as packed integer terms; a
-    paper-theorems unit decodes only its own support."""
-    return _count_table(identity(n), longest_element(n))
+def _supports_cached(n: int) -> dict[Perm, set]:
+    """The support of every rank-n dual Schubert polynomial, as packed
+    monomials; a paper-theorems unit decodes only its own."""
+    return _key_table(identity(n), longest_element(n))
+
+
+@lru_cache(maxsize=1 << 16)
+def _floors_base_size(n: int, floors: int) -> int:
+    """`_base_size` of z_T on the subsets of 1..n-1, packed as `_floor_fold`
+    packs them: each distinct vector is read back and counted once per
+    process.  The key holds the rank, since the packing depends on it and a
+    process may sweep several ranks; the bound is `bruhat._covers`'s."""
+    d = n - 1
+    unpack = _unpacker(1 << d, _steps(n, tuple(range(1 << d)))[1])
+    return _base_size(unpack(floors), d)
 
 
 def _unit_ps_mconvex(n: int, key: str) -> dict:
     """Is the support T of [u, v] M-convex, for every v above u?
 
-    One interval walk feeds two folds: the packed count fold, whose key
-    count is |T|, and the subset-floor fold, which gives z_T on every
-    coordinate subset.  T lies inside P(z_T) by the definition of z_T, so T
-    is every integer point of P(z_T) exactly when the two counts agree, and T
-    is M-convex exactly when that holds with z_T supermodular (Murota 2003;
-    see `m_convex_certificate`).  No support is built and no point visited.
+    One interval walk feeds two folds: the key-set fold, whose set sizes are
+    |T|, and the subset-floor fold, which gives z_T on every coordinate
+    subset.  T lies inside P(z_T) by the definition of z_T, so T is every
+    integer point of P(z_T) exactly when the two counts agree, and T is
+    M-convex exactly when that holds with z_T supermodular (Murota 2003; see
+    `m_convex_certificate`).  No support point is read.  Floor vectors repeat
+    across units, and within one: the 2,053 rank-5 pairs that a sweep runs
+    have 374 distinct ones, its 53,527 rank-6 pairs 5,556.  So the point
+    count of P(z_T) comes from a per-process memo (`_floors_base_size`), and
+    only the comparison with |T| is made per pair.
     """
-    u, d = parse_perm(key), n - 1
-    subsets = tuple(range(1 << d))
+    u, subsets = parse_perm(key), tuple(range(1 << n - 1))
     covers, floors = _floor_fold(u, subsets)
-    counts = _count_table(u, longest_element(n), covers)
-    unpack = _unpacker(1 << d, _steps(n, subsets)[1])
-    fails = [v for v in covers if not _fills_base(unpack(floors[v]), d, len(counts[v]))]
+    supports = _key_table(u, longest_element(n), covers)
+    fails = [v for v in covers if _floors_base_size(n, floors[v]) != len(supports[v])]
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 
@@ -368,7 +383,7 @@ def _unit_theorems(n: int, key: str) -> dict:
     w = parse_perm(key)
     fails: list[dict] = []
     gw = global_weight(w)
-    supp = frozenset(map(_unpacker(n - 1), _counts_cached(n)[w]))
+    supp = frozenset(map(_unpacker(n - 1), _supports_cached(n)[w]))
     gsupp = gw.support()
     if supp != gsupp:
         fails.append({"kind": "support-mismatch", "w": key})
@@ -522,8 +537,8 @@ def _read_token(
         )
     ):
         raise ValueError(
-            "malformed resume token: expected mode, an integer n, a finite"
-            " elapsed and done, with non-negative integer pairs and a fails"
+            "malformed resume token: expected mode, an integer n, a finite,"
+            " non-negative elapsed and done, with non-negative integer pairs and a fails"
             " list in every record"
         )
     if token["mode"] != mode or token["n"] != n:

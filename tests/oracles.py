@@ -15,7 +15,17 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from dualschubert.bruhat import SaturatedChain, interval_elements
-from dualschubert.perm import bruhat_leq, down_covers, up_covers
+from dualschubert.perm import (
+    bruhat_leq,
+    down_covers,
+    format_perm,
+    longest_element,
+    parse_perm,
+    up_covers,
+)
+from dualschubert.poly import _count_table, _unpacker
+from dualschubert.polytope import _base_points, _is_supermodular
+from dualschubert.scnp import _floor_fold, _steps
 
 
 def inversion_count(w):
@@ -255,6 +265,27 @@ def floors_by_tuples(u, sets):
             z = tuple(c + (m & seg == seg) for c, m in zip(table[x], sets))
             table[v] = tuple(map(min, table.get(v, z), z))
     return table
+
+
+def ps_mconvex_record_by_counts(n, key):
+    """The ps-mconvex unit record of u = key, pair by pair, with no memo:
+    the reference for `scnp._unit_ps_mconvex`.
+
+    |T| is the key count of the coefficient fold, and z_T comes from the
+    subset-floor fold.  T is M-convex exactly when z_T is supermodular and
+    P(z_T) has |T| integer points, each of them listed one by one.
+    """
+    u, d = parse_perm(key), n - 1
+    subsets = tuple(range(1 << d))
+    covers, floors = _floor_fold(u, subsets)
+    counts = _count_table(u, longest_element(n))
+    unpack = _unpacker(1 << d, _steps(n, subsets)[1])
+    fails = []
+    for v in covers:
+        z = unpack(floors[v])
+        if not (_is_supermodular(z, d) and len(list(_base_points(z, d))) == len(counts[v])):
+            fails.append(format_perm(v))
+    return {"pairs": len(covers), "fails": fails}
 
 
 def dominant_chain_by_sets(u, w, target):

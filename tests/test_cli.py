@@ -262,6 +262,8 @@ def test_verify_malformed_resume_is_usage_error(capsys, tmp_path, token):
     )
     assert rc == 2
     assert err.startswith("error: malformed resume token")
+    if token == {"mode": "ps-mconvex", "n": 3, "elapsed": -50.0, "done": {}}:
+        assert "non-negative elapsed" in err
 
 
 @pytest.mark.parametrize(

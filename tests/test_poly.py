@@ -30,11 +30,12 @@ from dualschubert.poly import (
     SparsePolynomial,
     _count_table,
     _field_width,
+    _key_table,
     _unpacker,
     grevlex_key,
 )
 
-from oracles import count_table_by_tuples
+from oracles import count_table_by_tuples, support_table_by_union
 
 
 def poly(nvars, terms):
@@ -261,6 +262,30 @@ def test_packed_count_table_matches_tuple_oracle_s5():
 @pytest.mark.parametrize("u", [(1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5)])
 def test_packed_count_table_matches_tuple_oracle_rank6(u):
     assert unpacked_count_table(u) == count_table_by_tuples(u)
+
+
+def unpacked_key_table(u):
+    unpack = _unpacker(len(u) - 1)
+    table = _key_table(u, longest_element(len(u)))
+    return {v: frozenset(map(unpack, keys)) for v, keys in table.items()}
+
+
+def test_key_table_matches_union_oracle_s5():
+    for u in all_perms(5):
+        assert unpacked_key_table(u) == support_table_by_union(u)
+
+
+@pytest.mark.parametrize("key", ["123456", "214365", "345612"])
+def test_key_table_matches_union_oracle_rank6(key):
+    u = tuple(map(int, key))
+    assert unpacked_key_table(u) == support_table_by_union(u)
+
+
+@pytest.mark.parametrize("u", [(2, 1, 3, 4), (1, 3, 2, 4, 5), (2, 1, 4, 3, 6, 5)])
+def test_key_table_holds_the_count_table_keys(u):
+    w = longest_element(len(u))
+    counts = _count_table(u, w)
+    assert _key_table(u, w) == {v: set(terms) for v, terms in counts.items()}
 
 
 @pytest.mark.parametrize("n", range(2, 8))

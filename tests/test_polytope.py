@@ -29,8 +29,8 @@ from dualschubert import (
     segment_poly,
     segment_rank,
 )
-from dualschubert import polytope
-from dualschubert.poly import SparsePolynomial
+from dualschubert import polytope, scnp
+from dualschubert.poly import SparsePolynomial, _unpacker
 from dualschubert.polytope import _exchange_failure, _snp_by_hull, compositions
 from dualschubert.scnp import support_table_above
 from dualschubert.tiling import vertices_via_tilings
@@ -324,7 +324,7 @@ def test_certificate_matches_exchange_loop_random():
         z = [min(sum(p[i] for i in range(d) if m >> i & 1) for p in pts)
              for m in range(1 << d)]
         one_sum = len({sum(p) for p in pts}) == 1
-        assert (one_sum and polytope._fills_base(z, d, len(pts))) == (failure is None)
+        assert (one_sum and polytope._base_size(z, d) == len(pts)) == (failure is None)
         seen[cert is not None, len(pts) > 2 ** len(next(iter(pts)))] += 1
         if cert is not None:
             assert cert.integer_points() == pts
@@ -332,6 +332,25 @@ def test_certificate_matches_exchange_loop_random():
                 assert cert.vertices() == hull_vertices(pts)
     assert len(seen) == 4 and min(seen.values()) >= 50, seen
     assert seen[False, False] + seen[False, True] == 1898
+
+
+def test_base_size_counts_every_point_on_rank5_floors():
+    subsets = tuple(range(1 << 4))
+    unpack = _unpacker(len(subsets), scnp._steps(5, subsets)[1])
+    floors = {z for u in all_perms(5) for z in scnp._floor_fold(u, subsets)[1].values()}
+    assert len(floors) == 387  # distinct among the 3,781 rank-5 pairs
+    for z in map(unpack, floors):
+        assert polytope._base_size(z, 4) == len(list(polytope._base_points(z, 4))) > 0
+
+
+def test_base_size_is_zero_off_supermodular_floors():
+    # floors of {(1,1,0,0), (0,0,1,1)}: z({1,3}) + z({2,3}) = 2 > z({1,2,3}) + z({3}) = 1
+    pts = [(1, 1, 0, 0), (0, 0, 1, 1)]
+    z = [min(sum(p[i] for i in range(4) if m >> i & 1) for p in pts) for m in range(16)]
+    assert not polytope._is_supermodular(z, 4)
+    assert len(list(polytope._base_points(z, 4))) > 0
+    assert polytope._base_size(z, 4) == 0
+    assert m_convex_certificate(pts) is None
 
 
 def test_certificate_matches_exchange_loop_on_rank5_interval_supports():

@@ -43,6 +43,7 @@ from oracles import (
     add_segment,
     dominant_chain_by_sets,
     floors_by_tuples,
+    ps_mconvex_record_by_counts,
     support_table_by_union,
 )
 
@@ -260,6 +261,49 @@ def test_subset_floor_unit_matches_certificate_rank6(key):
         z = unpacked(floors[v], 6, subsets(6))
         assert list(z) == m_convex_certificate(supp)._masks()
     assert scnp._run_unit("ps-mconvex", 6, key) == certificate_record(u)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_ps_mconvex_unit_matches_uncached_oracle(n):
+    keys = [format_perm(u) for u in all_perms(n)]
+    expected = {key: ps_mconvex_record_by_counts(n, key) for key in keys}
+    scnp._floors_base_size.cache_clear()
+    warm = {key: scnp._run_unit("ps-mconvex", n, key) for key in keys}
+    assert scnp._floors_base_size.cache_info().hits > 0
+    cold = {}
+    for key in reversed(keys):
+        scnp._floors_base_size.cache_clear()
+        cold[key] = scnp._run_unit("ps-mconvex", n, key)
+    assert warm == cold == expected
+
+
+@pytest.mark.parametrize("key", ["123456", "214365", "345612"])
+def test_ps_mconvex_unit_matches_uncached_oracle_rank6(key):
+    expected = ps_mconvex_record_by_counts(6, key)
+    scnp._floors_base_size.cache_clear()
+    scnp._run_unit("ps-mconvex", 6, "132546")
+    hits = scnp._floors_base_size.cache_info().hits
+    assert scnp._run_unit("ps-mconvex", 6, key) == expected  # memo warmed
+    assert scnp._floors_base_size.cache_info().hits > hits
+    scnp._floors_base_size.cache_clear()
+    assert scnp._run_unit("ps-mconvex", 6, key) == expected  # memo cold
+
+
+def test_ps_mconvex_unit_fails_every_pair_whose_count_differs(monkeypatch):
+    # no support of rank 7 or less fails; a count of 0 is what non-supermodular floors get
+    monkeypatch.setattr(scnp, "_base_size", lambda z, d: 0)
+    scnp._floors_base_size.cache_clear()
+    try:
+        record = scnp._run_unit("ps-mconvex", 4, "1324")
+    finally:
+        scnp._floors_base_size.cache_clear()
+    fails = [format_perm(v) for v in sorted(support_table_above((1, 3, 2, 4)),
+                                            key=lambda v: (length(v), v))]
+    assert record == {"pairs": 20, "fails": fails}
+
+
+def test_floor_memo_is_bounded_like_the_cover_cache():
+    assert scnp._floors_base_size.cache_info().maxsize == 1 << 16
 
 
 def test_is_scnp_rejects_bad_pairs():
