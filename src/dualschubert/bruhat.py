@@ -8,12 +8,15 @@ of position pairs are compared by interval dominance: G is dominated by H when
 the pairs can be matched up so that each [a, b] from G sits inside its partner
 [c, d] from H.
 
-Each process computes a permutation's up- and down-covers once, when a walk
-first meets it, and keeps them (`_covers`); nothing is built per rank up
-front.  An interval is walked upward from its bottom: every element of
-[u, w] ends a saturated chain from u inside [u, w], so the covers that stay
-below w reach exactly [u, w], and when w is the longest element, which is
-above every permutation, no comparison is made at all.
+Each process computes a permutation's up-covers once, when a walk first
+meets it, and keeps them (`_covers`); nothing is built per rank up front.
+An interval is walked upward from its bottom: every element of [u, w] ends
+a saturated chain from u inside [u, w], so the covers that stay below w
+reach exactly [u, w], and when w is the longest element, which is above
+every permutation, no comparison is made at all.  The walk notes each cover
+it climbs as a down-cover of its top.  The greedy chain reads down-covers
+off the same table through v -> w0 v, which reverses Bruhat order and keeps
+labels: the down-covers of v are w0 x for the up-covers x of w0 v.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from typing import Iterable, Iterator
 from .perm import (
     Perm,
     PositionPair,
+    _complement,
     apply_t,
     bruhat_leq,
-    down_covers,
     format_perm,
     length,
     longest_element,
@@ -99,14 +102,14 @@ def trivial_chain(u: Perm) -> SaturatedChain:
 
 
 @lru_cache(maxsize=1 << 16)
-def _covers(v: Perm) -> tuple[tuple, tuple]:
-    """v's `up_covers` and `down_covers`, computed once per process.
+def _covers(v: Perm) -> tuple:
+    """v's `up_covers`, computed once per process.
 
-    One entry per permutation met; all of S_8 fits, about 47 MB of it.  A
-    long-lived process that is done with a rank can free them with
-    `_covers.cache_clear()`.
+    One entry per permutation met; all of S_8 fits, about 65 MiB of it
+    (tracemalloc, Python 3.11).  A long-lived process that is done with a
+    rank can free them with `_covers.cache_clear()`.
     """
-    return tuple(up_covers(v)), tuple(down_covers(v))
+    return tuple(up_covers(v))
 
 
 def interval_covers(
@@ -120,8 +123,10 @@ def interval_covers(
     graded), so climbing by covers that stay below w reaches all of [u, w],
     and nothing else: whatever it reaches is above u.  Each element met is
     compared with w once, and not at all when w is the longest element,
-    which is above every permutation.  A down-cover of v in [u, w] is below
-    w, so it is in the interval exactly when the walk met it.
+    which is above every permutation.  A down-cover x of v is in [u, w]
+    exactly when the walk kept x, and each level is walked sorted: the
+    down-covers v t_ab of v sort by a, then by v(b), which grows with b,
+    so each list is in label order.
 
     >>> interval_covers((2, 1, 3), (2, 3, 1))
     {(2, 1, 3): [], (2, 3, 1): [((2, 1, 3), (2, 3))]}
@@ -130,23 +135,21 @@ def interval_covers(
     if not bruhat_leq(u, w):
         return {}
     top = w == longest_element(len(w))
-    inside, outside, level = {u}, set(), [u]
-    order = []
+    covers, level = {u: []}, [u]
     while level:
-        order += level
-        met = set()
+        met, outside = {}, set()  # the next level's v, with their down-covers
         for x in level:
-            for v, _ in _covers(x)[0]:
-                if v not in met and v not in outside:
+            for v, lab in _covers(x):
+                if v in met:
+                    met[v].append((x, lab))
+                elif v not in outside:
                     if top or bruhat_leq(v, w):
-                        met.add(v)
+                        met[v] = [(x, lab)]
                     else:
                         outside.add(v)
-        inside |= met
         level = sorted(met)
-    return {
-        v: [cover for cover in _covers(v)[1] if cover[0] in inside] for v in order
-    }
+        covers.update((v, met[v]) for v in level)
+    return covers
 
 
 def interval_elements(u: Perm, w: Perm) -> frozenset[Perm]:
@@ -195,7 +198,7 @@ def enumerate_chains(u: Perm, w: Perm) -> Iterator[SaturatedChain]:
         if v == w:
             yield SaturatedChain(nodes, labels)
             return
-        for v2, lab in _covers(v)[0]:
+        for v2, lab in _covers(v):
             if (inside := below.get(v2)) is None:
                 inside = below[v2] = bruhat_leq(v2, w)
             if inside:
@@ -219,9 +222,9 @@ def greedy_chain(u: Perm, w: Perm) -> SaturatedChain:
     u, w = _require_below(u, w)
     rev_nodes = [w]
     rev_labels: list[PositionPair] = []
-    v = w
-    while v != u:
-        avail = [lab for v2, lab in _covers(v)[1] if bruhat_leq(u, v2)]
+    v, top = w, _complement(u)
+    while v != u:  # down-covers w0 c of v, c above w0 v; u <= w0 c iff c <= w0 u
+        avail = [lab for c, lab in _covers(_complement(v)) if bruhat_leq(c, top)]
         best: PositionPair | None = None
         for a, b in avail:
             extendable = any(
@@ -252,11 +255,11 @@ def is_greedy(chain: SaturatedChain, u: Perm, w: Perm) -> bool:
     u, w = validate(u), validate(w)
     if chain.start != u or chain.end != w:
         raise ValueError("chain endpoints do not match the given interval")
+    top = _complement(u)
     for i, (a, b) in enumerate(chain.labels):
-        v = chain.nodes[i + 1]
-        for v2, (x, y) in _covers(v)[1]:
+        for c, (x, y) in _covers(_complement(chain.nodes[i + 1])):
             wider = (x == a and y > b) or (y == b and x < a)
-            if wider and bruhat_leq(u, v2):
+            if wider and bruhat_leq(c, top):  # as in greedy_chain
                 return False
     return True
 

@@ -46,10 +46,6 @@ from .tiling import (
 )
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj)
-
-
 def _endpoints(args) -> tuple[Perm, Perm]:
     """Read one permutation (identity lower end) or an explicit pair."""
     if len(args.perm) > 2:
@@ -67,7 +63,7 @@ def _endpoints(args) -> tuple[Perm, Perm]:
 def _print_points(points, nvars: int, as_json: bool) -> None:
     ordered = sorted(points, key=grevlex_key)
     if as_json:
-        print(_dumps({"nvars": nvars, "points": [list(p) for p in ordered]}))
+        print(json.dumps({"nvars": nvars, "points": [list(p) for p in ordered]}))
     else:
         for p in ordered:
             print(" ".join(str(x) for x in p))
@@ -79,21 +75,21 @@ def _print_points(points, nvars: int, as_json: bool) -> None:
 def _cmd_dual_schubert(args) -> int:
     w = parse_perm(args.w)
     f = dual_schubert(w)
-    print(_dumps(f.to_json_dict()) if args.json else str(f))
+    print(json.dumps(f.to_json_dict()) if args.json else str(f))
     return 0
 
 
 def _cmd_ps(args) -> int:
     u, w = parse_perm(args.u), parse_perm(args.w)
     f = postnikov_stanley_dp(u, w)
-    print(_dumps(f.to_json_dict()) if args.json else str(f))
+    print(json.dumps(f.to_json_dict()) if args.json else str(f))
     return 0
 
 
 def _cmd_gw(args) -> int:
     w = parse_perm(args.w)
     f = global_weight(w)
-    print(_dumps(f.to_json_dict()) if args.json else str(f))
+    print(json.dumps(f.to_json_dict()) if args.json else str(f))
     return 0
 
 
@@ -110,7 +106,7 @@ def _cmd_newton(args) -> int:
     w = parse_perm(args.w)
     gp = gp_from_inversions(w)
     if args.json:
-        print(_dumps(gp.to_json_dict()))
+        print(json.dumps(gp.to_json_dict()))
         return 0
     full = frozenset(range(1, gp.nvars + 1))
 
@@ -138,7 +134,7 @@ def _cmd_vertices(args) -> int:
     ordered = sorted(verts)
     if args.json:
         print(
-            _dumps(
+            json.dumps(
                 {
                     "w": format_perm(w),
                     "method": args.method,
@@ -155,7 +151,7 @@ def _cmd_vertices(args) -> int:
 def _cmd_tilings(args) -> int:
     w = parse_perm(args.w)
     if args.json:
-        print(_dumps(tilings_json_dict(w)))
+        print(json.dumps(tilings_json_dict(w)))
         return 0
     d = build_diagram(w)
     pairs = tiling_vertex_list(w)
@@ -179,7 +175,7 @@ def _cmd_tilings(args) -> int:
 def _cmd_greedy(args) -> int:
     u, w = parse_perm(args.u), parse_perm(args.w)
     chain = greedy_chain(u, w)
-    print(_dumps(chain.to_json_dict()) if args.json else chain.render())
+    print(json.dumps(chain.to_json_dict()) if args.json else chain.render())
     return 0
 
 
@@ -205,7 +201,7 @@ def _cmd_chains(args) -> int:
     truncated = next(stream, None) is not None
     if args.json:
         print(
-            _dumps(
+            json.dumps(
                 {
                     "u": format_perm(u),
                     "w": format_perm(w),
@@ -233,7 +229,7 @@ def _cmd_check_snp(args) -> int:
     verdict = is_snp(f)
     if args.json:
         print(
-            _dumps(
+            json.dumps(
                 {"u": format_perm(u), "w": format_perm(w), "snp": verdict}
             )
         )
@@ -251,7 +247,7 @@ def _cmd_check_mconvex(args) -> int:
             alpha, beta, i = failure
             rec = {"alpha": list(alpha), "beta": list(beta), "coordinate": i}
         print(
-            _dumps(
+            json.dumps(
                 {
                     "u": format_perm(u),
                     "w": format_perm(w),
@@ -277,7 +273,7 @@ def _cmd_check_scnp(args) -> int:
     verdict = is_scnp(u, w)
     if args.json:
         print(
-            _dumps(
+            json.dumps(
                 {
                     "u": format_perm(u),
                     "w": format_perm(w),
@@ -333,7 +329,7 @@ def _cmd_verify(args) -> int:
         checkpoint_path=args.checkpoint,
         progress=progress,
     )
-    print(_dumps(report.to_json_dict()) if args.json else report.summary())
+    print(json.dumps(report.to_json_dict()) if args.json else report.summary())
     if not report.complete:
         hint = (
             "rerun with --resume on the checkpoint file"

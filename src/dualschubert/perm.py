@@ -8,6 +8,9 @@ operation returns a fresh value and permutations can be dict keys.
 Two string forms are accepted on input: compact digits ``"4213"`` (only for
 n <= 9) and a bracketed comma list ``"[4,2,1,3]"`` (any rank).  On output the
 compact form is canonical for n <= 9 and the comma form for larger ranks.
+
+Complementing values, v -> w0 v (`_complement`), reverses Bruhat order and
+keeps cover labels, so `down_covers` is `up_covers` of the complement.
 """
 
 from __future__ import annotations
@@ -134,27 +137,22 @@ def up_covers(w: Perm) -> list[tuple[Perm, PositionPair]]:
     return out
 
 
+def _complement(w: Perm) -> Perm:
+    """w0 w: each value x replaced by n+1-x."""
+    return tuple(len(w) + 1 - x for x in w)
+
+
 def down_covers(w: Perm) -> list[tuple[Perm, PositionPair]]:
     """Covers of w from below: pairs (w t_ab, (a, b)) with length(w)-1.
 
-    The scan of `up_covers` mirrored: w(b) gives a cover exactly when it
-    lies below w(a) and above every value below w(a) passed so far.
+    The up-covers of w0 w, complemented back: v -> w0 v reverses Bruhat
+    order and commutes with swapping positions, so it keeps every label and
+    the lexicographic label order.
 
     >>> [(v, lab) for v, lab in down_covers((3, 2, 1))]
     [((2, 3, 1), (1, 2)), ((3, 1, 2), (2, 3))]
     """
-    n, out, v = len(w), [], list(w)
-    labels = _labels(n)
-    for a in range(n - 1):
-        x, below = w[a], 0
-        for b in range(a + 1, n):
-            y = w[b]
-            if below < y < x:
-                below = y
-                v[a], v[b] = y, x
-                out.append((tuple(v), labels[a][b]))
-                v[a], v[b] = x, y
-    return out
+    return [(_complement(v), lab) for v, lab in up_covers(_complement(w))]
 
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:

@@ -47,13 +47,21 @@ conjugated fails sorted by (length, v) are in the order of rc(u)'s own walk
 (`_mirror`).  The ps-mconvex and scnp-pattern sweeps run a unit u only when
 u <= rc(u) and derive rc(u)'s record from it.
 
+Complementing values, v -> w0 v, is an antiautomorphism of Bruhat order
+that keeps every cover label (`perm._complement`).  It maps the chains of
+[u, w] onto those of [w0 w, w0 u], label words and weights included, so
+[u, w] is single-chain exactly when [w0 w, w0 u] is.  Thus w has a failing
+partner below it exactly when w0 w has one above it, and w contains
+UPPER_PATTERN exactly when w0 w contains LOWER_PATTERN: the scnp-pattern
+merge computes the lower law and reads the upper one off it.
+
 The rank sweeps walk the whole symmetric group.  `SWEEPS` maps each mode
 to a unit (one base permutation), a merge and whether it is mirrored;
 `verify_ps_mconvex`, `verify_scnp_pattern` and `verify_theorems` run one
-mode each, through one sweep body.  It supports budget-bounded partial runs with resumable
-checkpoints and can fan units out over worker processes.  Results are merged
-in a fixed order, so reports are deterministic regardless of worker
-scheduling.
+mode each, through one sweep body.  It supports budget-bounded partial runs
+with resumable checkpoints and can fan units out over worker processes.
+Results are merged in a fixed order, so reports are deterministic
+regardless of worker scheduling.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ from . import bruhat
 from .bruhat import SaturatedChain, greedy_chain, is_greedy
 from .perm import (
     Perm,
+    _complement,
     all_perms,
     bruhat_leq,
     contains_pattern,
@@ -242,7 +251,7 @@ def _scnp_search(u: Perm, w: Perm, z: int, examined: int) -> ScnpVerdict:
         if v == w:
             return SaturatedChain(nodes, labels) if counts == z else None
         if v not in ups:
-            ups[v] = [(v2, lab) for v2, lab in bruhat._covers(v)[0] if v2 in interval]
+            ups[v] = [(v2, lab) for v2, lab in bruhat._covers(v) if v2 in interval]
         for v2, lab in ups[v]:
             c2 = counts + steps[lab]
             if (v2, c2) in seen or cap - c2 & high != high:
@@ -419,38 +428,26 @@ def _merge_ps_mconvex(n: int, fails: dict[str, list]) -> tuple[list, list]:
 
 
 def _merge_scnp_pattern(n: int, fails: dict[str, list]) -> tuple[list, list]:
-    failing_ws = {w for ws in fails.values() for w in ws}
-    counterexamples = []
-    for u, ws in fails.items():
-        exists = bool(ws)
-        expected = n >= len(LOWER_PATTERN) and contains_pattern(
-            parse_perm(u), LOWER_PATTERN
-        )
-        if exists != expected:
-            counterexamples.append(
-                {
-                    "kind": "lower-pattern-mismatch",
-                    "perm": u,
-                    "has_failing_partner": exists,
-                    "contains_pattern": expected,
-                    "witness": ws[0] if exists else None,
-                }
-            )
-    for w in fails:
-        exists = w in failing_ws
-        expected = n >= len(UPPER_PATTERN) and contains_pattern(
-            parse_perm(w), UPPER_PATTERN
-        )
-        if exists != expected:
-            counterexamples.append(
-                {
-                    "kind": "upper-pattern-mismatch",
-                    "perm": w,
-                    "has_failing_partner": exists,
-                    "contains_pattern": expected,
-                }
-            )
-    return counterexamples, [(u, w) for u, ws in fails.items() for w in ws]
+    """The lower law's mismatches, then the upper law's: w0 u's upper record
+    is u's lower one without its witness (module docstring), and w0 reverses
+    the key order.  In a mismatch, contains_pattern is not has_failing_partner."""
+
+    def record(kind, u, perm):
+        return {"kind": kind, "perm": perm, "has_failing_partner": bool(fails[u]),
+                "contains_pattern": not fails[u]}
+
+    ranked = n >= len(LOWER_PATTERN)  # contains_pattern raises below its rank
+    lower = [
+        u for u, ws in fails.items()
+        if bool(ws) != (ranked and contains_pattern(parse_perm(u), LOWER_PATTERN))
+    ]
+    return [
+        {**record("lower-pattern-mismatch", u, u), "witness": (fails[u] or [None])[0]}
+        for u in lower
+    ] + [
+        record("upper-pattern-mismatch", u, format_perm(_complement(parse_perm(u))))
+        for u in reversed(lower)
+    ], [(u, w) for u, ws in fails.items() for w in ws]
 
 
 def _merge_theorems(n: int, fails: dict[str, list]) -> tuple[list, list]:
@@ -591,14 +588,15 @@ def _sweep(
 
     Units recorded in `resume`, a token `_read_token` accepts, are skipped.
     The rest run in-process when min(jobs, units to run, usable CPUs) is 1,
-    else on that many worker processes.  The checkpoint, its records in key order, is written before
-    the first unit, then when a unit finishes `_CHECKPOINT_EVERY_S` or more
-    after the last write, and on every way out: complete, budget spent, or
-    any exception, including KeyboardInterrupt, which a failed final write
-    does not hide.  So only a hard kill (SIGKILL, out of memory) loses
-    finished units: those that finished less than `_CHECKPOINT_EVERY_S`
-    after the last write.  Once the budget has run out no further result is
-    awaited and the report is partial, with a resume token.  A worker that dies raises RuntimeError
+    else on that many worker processes.  The checkpoint, its records in key
+    order, is written before the first unit, then when a unit finishes
+    `_CHECKPOINT_EVERY_S` or more after the last write, and on every way
+    out: complete, budget spent, or any exception, including
+    KeyboardInterrupt, which a failed final write does not hide.  So only a
+    hard kill (SIGKILL, out of memory) loses finished units: those that
+    finished less than `_CHECKPOINT_EVERY_S` after the last write.  Once the
+    budget has run out no further result is awaited and the report is
+    partial, with a resume token.  A worker that dies raises RuntimeError
     naming its unit and exit code.  Leaving the loop, on budget or on error,
     terminates the worker processes.
     """
@@ -712,6 +710,9 @@ def verify_scnp_pattern(n: int, **options) -> ConjectureReport:
     A lower endpoint u should admit some w >= u without the single-chain
     property exactly when u contains LOWER_PATTERN; dually an upper endpoint
     w should admit such a u <= w exactly when w contains UPPER_PATTERN.
+    The second law is the first read through v -> w0 v: each upper mismatch
+    is a lower one complemented, without its witness.  The merge reads only
+    whether each unit fails and its first witness; `scnp_failures` lists all.
     """
     return _sweep("scnp-pattern", n, **options)
 

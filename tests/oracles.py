@@ -17,6 +17,7 @@ from itertools import combinations, permutations, product
 from dualschubert.bruhat import SaturatedChain, interval_elements
 from dualschubert.perm import (
     bruhat_leq,
+    contains_pattern,
     down_covers,
     format_perm,
     longest_element,
@@ -25,7 +26,7 @@ from dualschubert.perm import (
 )
 from dualschubert.poly import _count_table, _unpacker
 from dualschubert.polytope import _base_points, _is_supermodular
-from dualschubert.scnp import _floor_fold, _steps
+from dualschubert.scnp import UPPER_PATTERN, _floor_fold, _steps
 
 
 def inversion_count(w):
@@ -322,3 +323,27 @@ def dominant_chain_by_sets(u, w, target):
         return None
 
     return dfs(u, frozenset({(0,) * (len(u) - 1)}), (u,), ())
+
+
+def upper_pattern_records(n, fails):
+    """The upper pattern law's mismatches, computed directly: w has a failing
+    partner when some unit lists it, which should hold exactly when w
+    contains UPPER_PATTERN.  `fails` maps every key of S_n, in key order, to
+    its unit's fails."""
+    failing_ws = {w for ws in fails.values() for w in ws}
+    records = []
+    for w in fails:
+        exists = w in failing_ws
+        expected = n >= len(UPPER_PATTERN) and contains_pattern(
+            parse_perm(w), UPPER_PATTERN
+        )
+        if exists != expected:
+            records.append(
+                {
+                    "kind": "upper-pattern-mismatch",
+                    "perm": w,
+                    "has_failing_partner": exists,
+                    "contains_pattern": expected,
+                }
+            )
+    return records

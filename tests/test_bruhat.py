@@ -24,6 +24,7 @@ from dualschubert import (
     multiset_dominates,
     parse_perm,
     trivial_chain,
+    up_covers,
 )
 from dualschubert import bruhat
 
@@ -155,6 +156,11 @@ def test_enumerate_chains_s3_fixture():
 def test_enumerate_chains_counts_match_bruteforce_s4():
     for u, w in comparable_pairs(4):
         assert sum(1 for _ in enumerate_chains(u, w)) == chain_count_bruteforce(u, w)
+
+
+def test_cover_cache_holds_up_covers_only():
+    for v in all_perms(4):
+        assert bruhat._covers(v) == tuple(up_covers(v))
 
 
 def test_enumerate_chains_streams_and_compares_each_element_once(monkeypatch):

@@ -20,7 +20,7 @@ from dualschubert import (
     parse_perm,
     up_covers,
 )
-from dualschubert.perm import validate
+from dualschubert.perm import _complement, validate
 
 from oracles import bruhat_leq_bruteforce, covers_bruteforce, inversion_count
 
@@ -107,6 +107,15 @@ def test_down_covers_invert_up_covers_s4():
         assert downs == {w for w in perms if v in ups[w]}
         for w, lab in down_covers(v):
             assert apply_t(w, *lab) == v
+
+
+def test_complement_reverses_bruhat_order_s4():
+    perms = list(all_perms(4))
+    for w in perms:
+        assert _complement(_complement(w)) == w
+        assert length(_complement(w)) == 6 - length(w)
+        for u in perms:
+            assert bruhat_leq(u, w) == bruhat_leq(_complement(w), _complement(u))
 
 
 def test_bruhat_leq_matches_closure_s4():

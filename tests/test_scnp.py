@@ -6,7 +6,9 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import time
+from functools import lru_cache
 from itertools import accumulate
 
 import pytest
@@ -38,6 +40,7 @@ from dualschubert import (
 )
 from dualschubert import scnp
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
+from dualschubert.perm import _complement
 from dualschubert.poly import _unpacker
 from oracles import (
     add_segment,
@@ -45,6 +48,7 @@ from oracles import (
     floors_by_tuples,
     ps_mconvex_record_by_counts,
     support_table_by_union,
+    upper_pattern_records,
 )
 
 
@@ -56,6 +60,10 @@ def comparable_pairs(n):
 def test_pattern_constants():
     assert LOWER_PATTERN == (1, 3, 2, 4)
     assert UPPER_PATTERN == (4, 2, 3, 1)
+
+
+def test_upper_pattern_is_the_complement_of_the_lower():
+    assert UPPER_PATTERN == _complement(LOWER_PATTERN)
 
 
 def test_ps_support_matches_polynomial_route_s4():
@@ -383,6 +391,59 @@ def test_verify_scnp_pattern_s4():
     assert r.checked_pairs == 213
     assert r.counterexamples == []
     assert r.scnp_failures == [("1324", "4231")]
+
+
+@lru_cache(maxsize=None)
+def scnp_pattern_report(n):
+    return verify_scnp_pattern(n)
+
+
+def fails_table(report) -> dict:
+    """Every unit's fails, in key order, read back from scnp_failures."""
+    fails = {format_perm(v): [] for v in all_perms(report.n)}
+    for u, w in report.scnp_failures:
+        fails[u].append(w)
+    return fails
+
+
+def test_verify_scnp_pattern_s6_counterexamples():
+    assert scnp_pattern_report(6).counterexamples == [
+        {
+            "kind": "lower-pattern-mismatch",
+            "perm": "236145",
+            "has_failing_partner": True,
+            "contains_pattern": False,
+            "witness": "563412",
+        },
+        {
+            "kind": "upper-pattern-mismatch",
+            "perm": "541632",
+            "has_failing_partner": True,
+            "contains_pattern": False,
+        },
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_derived_upper_pattern_records_match_the_direct_loop(n):
+    fails = fails_table(scnp_pattern_report(n))
+    counterexamples, _ = scnp._merge_scnp_pattern(n, fails)
+    upper = [r for r in counterexamples if r["kind"] == "upper-pattern-mismatch"]
+    assert upper == upper_pattern_records(n, fails)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_derived_upper_pattern_records_on_random_closed_tables(seed):
+    # ranks 4-6 have at most one upper mismatch; a table closed under
+    # (u, w) -> (w0 w, w0 u) with many of them also pins the records' order
+    rng, perms = random.Random(seed), list(all_perms(5))
+    pairs = {(rng.choice(perms), rng.choice(perms)) for _ in range(60)}
+    pairs |= {(_complement(w), _complement(u)) for u, w in pairs}
+    fails = {format_perm(u): sorted(format_perm(w) for x, w in pairs if x == u) for u in perms}
+    counterexamples, _ = scnp._merge_scnp_pattern(5, fails)
+    upper = [r for r in counterexamples if r["kind"] == "upper-pattern-mismatch"]
+    assert len(upper) > 10
+    assert upper == upper_pattern_records(5, fails)
 
 
 def test_verify_scnp_pattern_below_pattern_rank():
