@@ -51,7 +51,6 @@ from .polytope import (
     m_convex_certificate,
     m_convex_failure,
     newton_vertices_coeff1,
-    segment_rank,
 )
 from .tiling import (
     RectTiling,

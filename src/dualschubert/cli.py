@@ -29,6 +29,7 @@ from .poly import (
     postnikov_stanley_dp,
 )
 from .polytope import (
+    _subset_order,
     gp_from_inversions,
     hull_vertices,
     is_snp,
@@ -117,7 +118,7 @@ def _cmd_newton(args) -> int:
         print("0 = 0")
         return 0
     print(f"{term(full)} = {gp.z[full]}")
-    for subset in sorted(gp.z, key=lambda s: (len(s), sorted(s))):
+    for subset in sorted(gp.z, key=_subset_order):
         if subset and subset != full:
             print(f"{term(subset)} >= {gp.z[subset]}")
     return 0
@@ -193,7 +194,7 @@ def _render_interval(u: Perm, w: Perm) -> str:
 
 
 def _cmd_chains(args) -> int:
-    u, w = parse_perm(args.u), parse_perm(args.w)
+    u, w = bruhat._require_below(parse_perm(args.u), parse_perm(args.w))
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be at least 0, got {args.limit}")
     stream = enumerate_chains(u, w)

@@ -140,10 +140,8 @@ def hull_contains(points: Iterable[tuple], target: tuple) -> bool:
         raise ValueError(f"target has dimension {len(target)}, points {d}")
     if target in set(pts):
         return True
-    if d == 0:
-        return True  # the unique 0-dim point, already equal
     columns = [tuple(p) + (1,) for p in pts]
-    return _nonneg_combination_exists(columns, tuple(target) + (1,))
+    return _nonneg_combination_exists(columns, target + (1,))
 
 
 def hull_vertices(points: Iterable[tuple]) -> frozenset[tuple]:
@@ -175,19 +173,10 @@ def hull_vertices(points: Iterable[tuple]) -> frozenset[tuple]:
 # -- supports and their polytopes ---------------------------------------------
 
 
-def segment_rank(seg: PositionPair, subset: Iterable[int]) -> int:
-    """1 when the coordinate set {a, ..., b-1} meets the subset, else 0.
-
-    >>> segment_rank((1, 3), {2})
-    1
-    >>> segment_rank((1, 2), {2, 3})
-    0
-    """
-    a, b = seg
-    if not a < b:
-        raise ValueError(f"segment ({a}, {b}) is empty")
-    s = set(subset)
-    return 1 if any(i in s for i in range(a, b)) else 0
+def _subset_order(subset: frozenset[int]) -> tuple[int, list[int]]:
+    """The order of support numbers in `repr`, JSON and the `newton`
+    command: by size, then by sorted members."""
+    return len(subset), sorted(subset)
 
 
 def _subset_key(subset: frozenset[int]) -> str:
@@ -335,11 +324,7 @@ class GeneralizedPermutahedron:
         )
 
     def __repr__(self) -> str:
-        zs = {
-            _subset_key(s): v
-            for s, v in sorted(self.z.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        }
-        return f"GeneralizedPermutahedron({self.nvars}, {zs})"
+        return f"GeneralizedPermutahedron({self.nvars}, {self.to_json_dict()['z']})"
 
     def __add__(self, other: "GeneralizedPermutahedron") -> "GeneralizedPermutahedron":
         if not isinstance(other, GeneralizedPermutahedron):
@@ -394,12 +379,7 @@ class GeneralizedPermutahedron:
     def to_json_dict(self) -> dict:
         return {
             "nvars": self.nvars,
-            "z": {
-                _subset_key(s): v
-                for s, v in sorted(
-                    self.z.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-                )
-            },
+            "z": {_subset_key(s): self.z[s] for s in sorted(self.z, key=_subset_order)},
         }
 
     @classmethod
@@ -436,22 +416,6 @@ def gp_from_inversions(w: Perm) -> GeneralizedPermutahedron:
 
 
 # -- SNP and M-convexity ------------------------------------------------------
-
-
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts < 0 or total < 0:
-        raise ValueError("total and parts must be nonnegative")
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for v in range(total + 1):
-        for rest in compositions(total - v, parts - 1):
-            yield (v,) + rest
 
 
 def m_convex_certificate(
@@ -509,30 +473,22 @@ def is_snp(f: SparsePolynomial) -> bool:
         raise ValueError("the zero polynomial has no Newton polytope")
     if any(c < 0 for _, c in f.items()):
         warnings.warn("polynomial has negative coefficients", stacklevel=2)
-    if f.nvars == 0 or len(supp) == 1:
-        return True
     return m_convex_certificate(supp) is not None or _snp_by_hull(supp)
 
 
 def _snp_by_hull(supp: frozenset[LatticePoint]) -> bool:
-    """SNP by the simplex: no box point outside supp lies in its hull."""
-    d = len(next(iter(supp)))
+    """SNP by the simplex: no lattice point outside supp lies in its hull.
+
+    Every point of the hull lies in supp's bounding box and has a coordinate
+    sum between supp's least and greatest, so only those points are tried.
+    """
     verts = hull_vertices(supp)
-    los = [min(p[i] for p in supp) for i in range(d)]
-    his = [max(p[i] for p in supp) for i in range(d)]
-    sums = {sum(p) for p in supp}
-    if len(sums) == 1:
-        candidates = (
-            c
-            for c in compositions(sums.pop(), d)
-            if all(lo <= v <= hi for v, lo, hi in zip(c, los, his))
-        )
-    else:
-        candidates = product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
-    for cand in candidates:
-        if cand not in supp and hull_contains(verts, cand):
-            return False
-    return True
+    sums = [sum(p) for p in supp]
+    lo, hi = min(sums), max(sums)
+    box = product(*(range(min(c), max(c) + 1) for c in zip(*supp)))
+    return not any(
+        lo <= sum(c) <= hi and c not in supp and hull_contains(verts, c) for c in box
+    )
 
 
 def m_convex_failure(points: Iterable[LatticePoint]):

@@ -199,6 +199,13 @@ def hull_contains_bruteforce(points, target):
     return False
 
 
+def snp_bruteforce(points):
+    """SNP: no lattice point of the bounding box outside the set lies in its
+    hull, by the Caratheodory test."""
+    box = product(*(range(min(c), max(c) + 1) for c in zip(*points)))
+    return not any(c not in points and hull_contains_bruteforce(points, c) for c in box)
+
+
 def add_segment(points, a, b):
     """Minkowski-add the segment {e_a, ..., e_{b-1}} to a lattice-point set."""
     return frozenset(

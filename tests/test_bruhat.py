@@ -237,6 +237,15 @@ def test_multiset_dominates_fixtures():
     assert multiset_dominates([], [])
 
 
+def test_multiset_dominates_counts_counter_multiplicities():
+    twice = Counter({(1, 2): 2})
+    assert multiset_dominates(twice, Counter({(1, 2): 1, (1, 3): 1}))
+    assert multiset_dominates(twice, [(1, 2), (1, 2)])
+    assert not multiset_dominates(Counter({(1, 3): 2}), Counter({(1, 3): 1, (2, 3): 1}))
+    with pytest.raises(ValueError):  # two labels against one
+        multiset_dominates(twice, [(1, 2)])
+
+
 def test_multiset_dominates_rejects_size_mismatch():
     with pytest.raises(ValueError):
         multiset_dominates([(1, 2)], [(1, 2), (2, 3)])

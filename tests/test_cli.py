@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from dualschubert import cli
 from dualschubert.cli import main
 
 
@@ -58,6 +59,13 @@ def test_support_rejects_three_perms(capsys):
     assert err.startswith("error:")
 
 
+def test_support_rejects_a_rank_mismatch(capsys):
+    rc, out, err = run(capsys, "support", "12", "321")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: rank mismatch: 12 vs 321\n"
+
+
 def test_newton_text_and_json(capsys):
     rc, out, _ = run(capsys, "newton", "4213")
     assert rc == 0
@@ -75,6 +83,12 @@ def test_newton_text_and_json(capsys):
         "nvars": 2,
         "z": {"{}": 0, "{1}": 1, "{2}": 1, "{1,2}": 3},
     }
+
+
+def test_newton_on_no_variables(capsys):
+    rc, out, _ = run(capsys, "newton", "1")
+    assert rc == 0
+    assert out == "0 = 0\n"
 
 
 def test_vertices_methods_agree(capsys):
@@ -138,6 +152,28 @@ def test_chains_full_and_limited(capsys):
     assert json.loads(out)["truncated"] is False
 
 
+def test_chains_render_draws_the_interval(capsys):
+    rc, out, _ = run(capsys, "chains", "123", "321", "--render")
+    assert rc == 0
+    assert out.splitlines()[:5] == [
+        "interval [123, 321]: 6 elements",
+        "  length 3: 321",
+        "  length 2: 231 312",
+        "  length 1: 132 213",
+        "  length 0: 123",
+    ]
+    assert len(out.splitlines()) == 9  # then the four chains
+
+
+@pytest.mark.parametrize("u, w", [("213", "132"), ("321", "123")])
+@pytest.mark.parametrize("flags", [[], ["--render"], ["--json"]])
+def test_chains_rejects_incomparable_pairs(capsys, u, w, flags):
+    rc, out, err = run(capsys, "chains", u, w, *flags)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {u} is not below {w} in Bruhat order\n"
+
+
 def test_check_snp(capsys):
     rc, out, _ = run(capsys, "check-snp", "1324", "4231")
     assert rc == 0
@@ -151,6 +187,22 @@ def test_check_mconvex(capsys):
     rc, out, _ = run(capsys, "check-mconvex", "1324", "4231")
     assert rc == 0
     assert out == "m-convex: true\n"
+
+
+def test_check_mconvex_names_the_failed_exchange(capsys, monkeypatch):
+    # no interval support up to rank 7 fails, so the support is patched
+    monkeypatch.setattr(cli, "ps_support", lambda u, w: frozenset({(2, 0), (0, 2)}))
+    rc, out, _ = run(capsys, "check-mconvex", "123", "321")
+    assert rc == 1
+    assert out == "m-convex: false (no exchange for (0, 2) over (2, 0) at coordinate 2)\n"
+    rc, out, _ = run(capsys, "check-mconvex", "123", "321", "--json")
+    assert rc == 1
+    assert json.loads(out) == {
+        "u": "123",
+        "w": "321",
+        "m_convex": False,
+        "failure": {"alpha": [0, 2], "beta": [2, 0], "coordinate": 2},
+    }
 
 
 def test_check_scnp_positive(capsys):
@@ -308,6 +360,19 @@ def test_verify_unreadable_resume_file_names_the_file(capsys, tmp_path, content)
     )
     assert rc == 2
     assert err.startswith(f"error: cannot read resume file {ckpt}: ")
+
+
+def test_verify_json_partial_report_carries_its_resume_token(capsys):
+    rc, out, err = run(
+        capsys, "verify", "--mode", "scnp-pattern", "--n", "4", "--json", "--budget", "0"
+    )
+    assert rc == 0
+    assert "budget exhausted" in err
+    data = json.loads(out)
+    assert data["complete"] is False
+    assert data["checked_pairs"] == 0 and data["counterexamples"] == []
+    token = data["resume_token"]
+    assert token["mode"] == "scnp-pattern" and token["n"] == 4 and token["done"] == {}
 
 
 def test_verify_budget_without_checkpoint_says_none_was_written(capsys):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,15 +26,14 @@ from dualschubert import (
     m_convex_failure,
     newton_vertices_coeff1,
     segment_poly,
-    segment_rank,
 )
 from dualschubert import polytope, scnp
 from dualschubert.poly import SparsePolynomial, _unpacker
-from dualschubert.polytope import _exchange_failure, _snp_by_hull, compositions
+from dualschubert.polytope import _exchange_failure, _snp_by_hull
 from dualschubert.scnp import support_table_above
 from dualschubert.tiling import vertices_via_tilings
 
-from oracles import hull_contains_bruteforce, minkowski_support
+from oracles import hull_contains_bruteforce, minkowski_support, snp_bruteforce
 
 
 def frac_poly(nvars, exps):
@@ -51,6 +49,7 @@ def test_hull_contains_fixtures():
     assert not hull_contains(square, (1, -1))
     assert hull_contains([(5,)], (5,))
     assert not hull_contains([(5,)], (4,))
+    assert hull_contains([()], ())
 
 
 def test_hull_contains_rejects_dimension_mismatch():
@@ -100,17 +99,6 @@ def test_hull_vertices_match_definition_random():
 def test_minkowski_support_equals_weight_support_s4():
     for w in all_perms(4):
         assert minkowski_support(w) == global_weight(w).support()
-
-
-def test_segment_rank():
-    # 1 exactly when the segment's coordinate set meets the subset
-    assert segment_rank((2, 5), {2, 3, 4}) == 1
-    assert segment_rank((2, 5), {5, 6}) == 0
-    assert segment_rank((1, 3), {1}) == 1
-    assert segment_rank((1, 2), {2}) == 0
-    assert segment_rank((1, 4), {1, 2, 3}) == 1
-    with pytest.raises(ValueError):
-        segment_rank((3, 3), {1})
 
 
 def test_gp_table_normalization():
@@ -167,21 +155,18 @@ def test_gp_json_round_trip():
     p = gp_from_inversions((4, 2, 1, 3))
     d = p.to_json_dict()
     assert d["nvars"] == 3
-    assert set(d["z"]) == {
+    # by size, then by sorted members
+    assert list(d["z"]) == [
         "{}", "{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2,3}", "{1,2,3}",
-    }
+    ]
     assert GeneralizedPermutahedron.from_json_dict(d) == p
-
-
-def test_compositions():
-    assert sorted(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert len(list(compositions(4, 3))) == math.comb(6, 2)
-    assert all(sum(c) == 4 and len(c) == 3 for c in compositions(4, 3))
+    assert repr(p) == f"GeneralizedPermutahedron(3, {d['z']})"
 
 
 def test_is_snp_fixtures():
     assert is_snp(frac_poly(2, [(1, 1), (0, 2)]))
     assert is_snp(SparsePolynomial.one(2))
+    assert is_snp(SparsePolynomial.one(0))
     assert is_snp(frac_poly(3, [(2, 0, 0)]))
     # missing the interior point (1, 1) of the segment (2,0)-(0,2)
     assert not is_snp(frac_poly(2, [(2, 0), (0, 2)]))
@@ -365,10 +350,54 @@ def test_certificate_matches_exchange_loop_on_rank5_interval_supports():
     assert sizes == {False, True}  # up to 2^d points and more
 
 
-def test_is_snp_certificate_matches_hull_route_rank5():
+def test_is_snp_certificate_matches_hull_route_rank5(monkeypatch):
+    calls = []
+
+    def counted(points, target):
+        calls.append(target)
+        return hull_contains(points, target)
+
+    monkeypatch.setattr(polytope, "hull_contains", counted)
     for f in dual_schubert_table(5).values():
         assert m_convex_certificate(f.support()) is not None
         assert is_snp(f) and _snp_by_hull(f.support())
+    # hull_vertices' calls and the candidates', all from _snp_by_hull
+    assert len(calls) == 1068
+
+
+def test_is_snp_settles_one_point_by_the_certificate(monkeypatch):
+    def hull_route(supp):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(polytope, "_snp_by_hull", hull_route)
+    assert is_snp(SparsePolynomial.one(0))  # z = [0] on no coordinates
+    assert is_snp(frac_poly(3, [(2, 0, 1)]))
+    assert is_snp(frac_poly(1, [(4,)]))
+
+
+def small_point_set(rng):
+    """1 to 6 points in up to 3 coordinates: on one hyperplane or scattered."""
+    d = rng.randrange(1, 4)
+    if rng.randrange(2):
+        total = rng.randrange(0, 4)
+        heads = [tuple(rng.randrange(0, total + 1) for _ in range(d - 1))
+                 for _ in range(rng.randrange(1, 7))]
+        return {h + (total - sum(h),) for h in heads if sum(h) <= total}
+    return {tuple(rng.randrange(0, 3) for _ in range(d)) for _ in range(rng.randrange(1, 7))}
+
+
+def test_snp_routes_match_bruteforce_random():
+    rng = random.Random(47)
+    seen = Counter()  # (one coordinate sum, SNP)
+    for _ in range(400):
+        pts = small_point_set(rng)
+        if not pts:
+            continue
+        snp = snp_bruteforce(pts)
+        assert _snp_by_hull(frozenset(pts)) == snp, sorted(pts)
+        assert is_snp(frac_poly(len(next(iter(pts))), pts)) == snp, sorted(pts)
+        seen[len({sum(p) for p in pts}) == 1, snp] += 1
+    assert sum(seen.values()) >= 200 and len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 def test_is_snp_falls_back_to_the_hull_route():

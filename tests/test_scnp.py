@@ -406,6 +406,18 @@ def fails_table(report) -> dict:
     return fails
 
 
+def test_verify_scnp_pattern_s6_summary_lists_each_counterexample():
+    report = scnp_pattern_report(6)
+    lines = report.summary().splitlines()
+    assert [x for x in lines if x.startswith("counterexample: ")] == [
+        "counterexample: " + json.dumps(rec) for rec in report.counterexamples
+    ]
+    assert lines[-1] == (
+        'counterexample: {"kind": "upper-pattern-mismatch", "perm": "541632",'
+        ' "has_failing_partner": true, "contains_pattern": false}'
+    )
+
+
 def test_verify_scnp_pattern_s6_counterexamples():
     assert scnp_pattern_report(6).counterexamples == [
         {
@@ -459,6 +471,73 @@ def test_verify_theorems_small():
     r4 = verify_theorems(4)
     assert r4.ok()
     assert r4.checked_pairs == 24
+
+
+# Each fault makes one route of the paper-theorems unit wrong about w = 231
+# alone; the sweep must report exactly the records that route feeds.
+W = (2, 3, 1)
+
+
+def wrong_at_w(monkeypatch, name, wrong, about=lambda *args: args[-1]):
+    real = getattr(scnp, name)
+    monkeypatch.setattr(
+        scnp, name, lambda *args: wrong(*args) if about(*args) == W else real(*args)
+    )
+
+
+def fault_supports(monkeypatch):
+    table = dict(scnp._supports_cached(3))
+    table[W] = table[(3, 1, 2)]
+    monkeypatch.setattr(scnp, "_supports_cached", lambda n: table)
+
+
+def fault_greedy(monkeypatch):
+    wrong_at_w(monkeypatch, "is_greedy", lambda g, u, w: False)
+
+
+def fault_weight(monkeypatch):
+    wrong_at_w(monkeypatch, "chain_weight", lambda g: chain_weight(g) + chain_weight(g),
+               about=lambda g: g.nodes[-1])
+
+
+def fault_certificate(monkeypatch):
+    supp = ps_support(identity(3), W)
+    wrong_at_w(monkeypatch, "m_convex_certificate", lambda points: None,
+               about=lambda points: W if points == supp else None)
+
+
+def fault_certificate_and_snp(monkeypatch):
+    fault_certificate(monkeypatch)
+    monkeypatch.setattr(scnp, "is_snp", lambda f: False)
+
+
+def fault_inversion_polytope(monkeypatch):
+    wrong_at_w(monkeypatch, "gp_from_inversions",
+               lambda w: scnp.gp_from_inversions((3, 1, 2)))
+
+
+def fault_tilings(monkeypatch):
+    wrong_at_w(monkeypatch, "vertices_via_tilings", lambda w: frozenset())
+
+
+THEOREM_FAULTS = [
+    (fault_supports, ["support-mismatch", "polytope-points-mismatch"]),
+    (fault_greedy, ["greedy-chain-not-greedy"]),
+    (fault_weight, ["greedy-weight-mismatch"]),
+    (fault_certificate, ["support-not-m-convex"]),
+    (fault_certificate_and_snp, ["support-not-m-convex", "support-not-snp"]),
+    (fault_inversion_polytope, ["polytope-points-mismatch"]),
+    (fault_tilings, ["vertex-method-mismatch"]),
+]
+
+
+@pytest.mark.parametrize("fault, kinds", THEOREM_FAULTS,
+                         ids=[fault.__name__ for fault, _ in THEOREM_FAULTS])
+def test_verify_theorems_records_each_wrong_route(fault, kinds, monkeypatch):
+    fault(monkeypatch)
+    r = verify_theorems(3)
+    assert r.complete and not r.ok()
+    assert r.counterexamples == [{"kind": kind, "w": "231"} for kind in kinds]
 
 
 VERIFY = {
