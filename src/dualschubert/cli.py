@@ -47,18 +47,15 @@ from .tiling import (
 )
 
 
-def _endpoints(args) -> tuple[Perm, Perm]:
-    """Read one permutation (identity lower end) or an explicit pair."""
-    if len(args.perm) > 2:
+def _endpoints(*perms: str) -> tuple[Perm, Perm]:
+    """Read w alone (identity lower end) or u then w, of one rank."""
+    if len(perms) > 2:
         raise ValueError("expected one permutation (w) or two (u w)")
-    perms = [parse_perm(s) for s in args.perm]
-    if len(perms) == 1:
-        return identity(len(perms[0])), perms[0]
-    if len(perms[0]) != len(perms[1]):
-        raise ValueError(
-            f"rank mismatch: {format_perm(perms[0])} vs {format_perm(perms[1])}"
-        )
-    return perms[0], perms[1]
+    *u, w = map(parse_perm, perms)
+    u = u[0] if u else identity(len(w))
+    if len(u) != len(w):
+        raise ValueError(f"rank mismatch: {format_perm(u)} vs {format_perm(w)}")
+    return u, w
 
 
 def _print_points(points, nvars: int, as_json: bool) -> None:
@@ -81,7 +78,7 @@ def _cmd_dual_schubert(args) -> int:
 
 
 def _cmd_ps(args) -> int:
-    u, w = parse_perm(args.u), parse_perm(args.w)
+    u, w = _endpoints(args.u, args.w)
     f = postnikov_stanley_dp(u, w)
     print(json.dumps(f.to_json_dict()) if args.json else str(f))
     return 0
@@ -95,7 +92,7 @@ def _cmd_gw(args) -> int:
 
 
 def _cmd_support(args) -> int:
-    u, w = _endpoints(args)
+    u, w = _endpoints(*args.perm)
     _print_points(ps_support(u, w), len(w) - 1, args.json)
     return 0
 
@@ -174,7 +171,7 @@ def _cmd_tilings(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
-    u, w = parse_perm(args.u), parse_perm(args.w)
+    u, w = _endpoints(args.u, args.w)
     chain = greedy_chain(u, w)
     print(json.dumps(chain.to_json_dict()) if args.json else chain.render())
     return 0
@@ -194,7 +191,7 @@ def _render_interval(u: Perm, w: Perm) -> str:
 
 
 def _cmd_chains(args) -> int:
-    u, w = bruhat._require_below(parse_perm(args.u), parse_perm(args.w))
+    u, w = bruhat._require_below(*_endpoints(args.u, args.w))
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be at least 0, got {args.limit}")
     stream = enumerate_chains(u, w)
@@ -225,7 +222,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_check_snp(args) -> int:
-    u, w = _endpoints(args)
+    u, w = _endpoints(*args.perm)
     f = postnikov_stanley_dp(u, w)
     verdict = is_snp(f)
     if args.json:
@@ -240,7 +237,7 @@ def _cmd_check_snp(args) -> int:
 
 
 def _cmd_check_mconvex(args) -> int:
-    u, w = _endpoints(args)
+    u, w = _endpoints(*args.perm)
     failure = m_convex_failure(ps_support(u, w))
     if args.json:
         rec = None
@@ -270,7 +267,7 @@ def _cmd_check_mconvex(args) -> int:
 
 
 def _cmd_check_scnp(args) -> int:
-    u, w = parse_perm(args.u), parse_perm(args.w)
+    u, w = _endpoints(args.u, args.w)
     verdict = is_scnp(u, w)
     if args.json:
         print(

@@ -12,7 +12,9 @@ the maximal segments of I and z_T superadditive, so C = T exactly when they
 agree on the n(n-1)/2 segments {i, ..., j-1}.  Counts only grow along a
 chain: a prefix exceeding z_T on a segment is cut.  `is_scnp` reads z_T off
 the support, tries the greedy chain for its witness, then a DFS over (node,
-counts); the scnp-pattern sweep uses floors alone (`_floor_fold`).
+counts).  The sweeps search no chain: over the floors of `_floor_fold`, one
+fold marks [u, v] dominant when some cover x < v is dominant and tight,
+floors[x] + step == floors[v] (`_non_dominant`).
 
 Supports come from the key-set fold `poly._key_table`, one packed int per
 monomial: the support of [u, v] is the union, over the last covers of its
@@ -27,13 +29,14 @@ packed 0/1 counts and says why no field carries or borrows, so a chain's
 counts are a sum of steps, a comparison with z_T is one subtract and mask,
 and the floor fold's min is a few operations on whole ints.
 
-The ps-mconvex sweep reads no support point.  One interval walk feeds two
-folds: the key-set fold gives |T| as a set's size, and the floor fold,
-widened from the segments to every coordinate subset, gives z_T on all
-2^(n-1) subsets.  T always lies inside the polytope P(z_T), so T is its
-every integer point exactly when the point count of P(z_T) is |T|; with z_T
-supermodular that is M-convexity (`polytope._base_size`, which counts 0
-when z_T is not supermodular).
+The ps-mconvex sweep counts lattice points only where no chain is dominant:
+a dominant chain's support is T and a Minkowski sum of label simplices, so
+T is M-convex (Murota 2003; Postnikov 2009).  Two folds over the rest's
+down-closure read no support point.  The key-set fold gives |T|, and the
+floor fold over every coordinate subset gives z_T.  T lies inside P(z_T),
+so it is every integer point of P(z_T) exactly when P(z_T) has |T| of
+them; with z_T supermodular that is M-convexity (`polytope._base_size`,
+which counts 0 when z_T is not supermodular).
 
 Conjugation rc(v) = w0 v w0 is an automorphism of Bruhat order that fixes
 w0 (Bjorner-Brenti 2005).  It turns the cover label (a, b) into
@@ -275,9 +278,11 @@ def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
     return _scnp_search(u, w, z, examined=1)
 
 
-def _floor_fold(u: Perm, sets: tuple[int, ...]) -> tuple[dict, dict]:
+def _floor_fold(u: Perm, sets: tuple[int, ...], covers=None) -> tuple[dict, dict]:
     """interval_covers(u, w0), and z_T on the coordinate sets `sets`, packed
-    as in `_steps`, for the support T of each [u, v].
+    as in `_steps`, for the support T of each [u, v].  Pass `covers`, a
+    down-closed part of interval_covers(u, w0) in its order, to fold over it
+    alone.
 
     T is the union of the chains' supports, each the Minkowski sum of its
     label simplices.  A linear form's minimum over a union is the least of
@@ -289,7 +294,7 @@ def _floor_fold(u: Perm, sets: tuple[int, ...]) -> tuple[dict, dict]:
     """
     steps, width, high = _steps(len(u), sets)
     w = longest_element(len(u))
-    covers = bruhat.interval_covers(u, w)
+    covers = bruhat.interval_covers(u, w) if covers is None else covers
 
     def least(z, t):
         ge = ((z | high) - t) & high
@@ -301,31 +306,29 @@ def _floor_fold(u: Perm, sets: tuple[int, ...]) -> tuple[dict, dict]:
     return covers, bruhat._interval_fold(u, w, 0, step, covers)
 
 
-def _floor_path(covers: dict, u: Perm, v: Perm, floors: dict) -> tuple | None:
-    """Labels, from u up, of a dominant chain u -> v, or None: a DFS down from v.
+def _non_dominant(u: Perm) -> tuple[dict, list[Perm]]:
+    """interval_covers(u, w0), and the v in its order such that [u, v] has no
+    dominant chain, one counting floors[v]: a fold over `_floor_fold`'s
+    segment floors, whose value is floors[v] when [u, v] has one, else None.
 
-    `floors` maps each x in [u, v] to z_T of [u, x] on the segments
-    (`_floor_fold`).  A partial chain x -> v with counts `top` is cut when
-    seen before, or when top + floors[x] exceeds floors[v] on a segment:
-    floors[x] is the least count of any chain from u to x.  At u, top is
-    floors[v].  Each field of top + floors[x] counts the labels of one chain
-    u -> v, so the packed cut is exact (`_steps`).
+    [u, u] has one, and [u, v] has one exactly when some cover x < v has one
+    and floors[x] + step(label) == floors[v].  floors[v] is the field-wise
+    least of floors[x] + step over v's covers, and floors[x] the least count
+    of any chain u -> x.  So if a chain u -> x -> v counts c_x + step =
+    floors[v], then c_x <= floors[x], hence c_x = floors[x]: every prefix of
+    a dominant chain is dominant, and its last cover is tight.  Conversely a
+    dominant chain to x plus a tight cover is dominant.  No field carries
+    (`_steps`), so int equality is field-wise equality.
     """
-    steps, _, high = _steps(len(u), _segments(len(u)))
-    cap, seen = floors[v] | high, set()
+    covers, floors = _floor_fold(u, _segments(len(u)))
+    steps = _steps(len(u), _segments(len(u)))[0]
 
-    def dfs(x, top):
-        if x == u:
-            return ()
-        for x2, lab in covers[x]:
-            t2 = top + steps[lab]
-            if (cap - (t2 + floors[x2])) & high == high and (x2, t2) not in seen:
-                seen.add((x2, t2))
-                if (found := dfs(x2, t2)) is not None:
-                    return found + (lab,)
-        return None
+    def step(v, below):
+        tight = any(z is not None and z + steps[lab] == floors[v] for z, lab in below)
+        return floors[v] if tight else None
 
-    return dfs(v, 0)
+    dominant = bruhat._interval_fold(u, longest_element(len(u)), 0, step, covers)
+    return covers, [v for v, z in dominant.items() if z is None]
 
 
 def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
@@ -363,28 +366,28 @@ def _floors_base_size(n: int, floors: int) -> int:
 def _unit_ps_mconvex(n: int, key: str) -> dict:
     """Is the support T of [u, v] M-convex, for every v above u?
 
-    One interval walk feeds two folds: the key-set fold, whose set sizes are
-    |T|, and the subset-floor fold, which gives z_T on every coordinate
-    subset.  T lies inside P(z_T) by the definition of z_T, so T is every
-    integer point of P(z_T) exactly when the two counts agree, and T is
-    M-convex exactly when that holds with z_T supermodular (Murota 2003; see
-    `m_convex_certificate`).  No support point is read.  Floor vectors repeat
-    across units, and within one: the 2,053 rank-5 pairs that a sweep runs
-    have 374 distinct ones, its 53,527 rank-6 pairs 5,556.  So the point
-    count of P(z_T) comes from a per-process memo (`_floors_base_size`), and
-    only the comparison with |T| is made per pair.
+    Only the v with no dominant chain are counted (module docstring), over
+    their down-closure, which is empty when every v is dominant.  Of the
+    2,053 pairs a rank-5 sweep runs, 42 are counted, with 26 distinct floor
+    vectors; of its 53,527 rank-6 pairs, 2,896 with 837.  Vectors repeat
+    across units, so the point count of P(z_T) comes from a per-process
+    memo (`_floors_base_size`).
     """
-    u, subsets = parse_perm(key), tuple(range(1 << n - 1))
-    covers, floors = _floor_fold(u, subsets)
-    supports = _key_table(u, longest_element(n), covers)
-    fails = [v for v in covers if _floors_base_size(n, floors[v]) != len(supports[v])]
+    u = parse_perm(key)
+    covers, pending = _non_dominant(u)
+    closure = set(pending)
+    for v in reversed(covers):
+        if v in closure:
+            closure.update(x for x, _ in covers[v])
+    part = {v: below for v, below in covers.items() if v in closure}
+    _, floors = _floor_fold(u, tuple(range(1 << n - 1)), part)
+    supports = _key_table(u, longest_element(n), part)
+    fails = [v for v in pending if _floors_base_size(n, floors[v]) != len(supports[v])]
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 
 def _unit_scnp_pattern(n: int, key: str) -> dict:
-    u = parse_perm(key)
-    covers, floors = _floor_fold(u, _segments(n))
-    fails = [v for v in covers if _floor_path(covers, u, v, floors) is None]
+    covers, fails = _non_dominant(parse_perm(key))
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 

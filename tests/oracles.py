@@ -3,8 +3,8 @@
 Everything here is deliberately naive: covers by trying every transposition,
 order relations by BFS closure, matchings by trying every pairing, hulls by
 Caratheodory enumeration over exact linear solves, dominant chains by a
-search over lattice-point sets.  Slow but obviously correct, which is the
-point.
+search over lattice-point sets or over packed label counts.  Slow but
+obviously correct, which is the point.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dualschubert.perm import (
 )
 from dualschubert.poly import _count_table, _unpacker
 from dualschubert.polytope import _base_points, _is_supermodular
-from dualschubert.scnp import UPPER_PATTERN, _floor_fold, _steps
+from dualschubert.scnp import UPPER_PATTERN, _floor_fold, _segments, _steps
 
 
 def inversion_count(w):
@@ -330,6 +330,34 @@ def dominant_chain_by_sets(u, w, target):
         return None
 
     return dfs(u, frozenset({(0,) * (len(u) - 1)}), (u,), ())
+
+
+def floor_path(covers, u, v, floors):
+    """Labels, from u up, of a dominant chain u -> v, or None: a DFS down from v.
+
+    `covers` is interval_covers(u, w0) and `floors` maps each x in it to z_T
+    of [u, x] on the segments (`scnp._floor_fold`).  A partial chain x -> v
+    with counts `top` is cut when seen before, or when top + floors[x]
+    exceeds floors[v] on a segment: floors[x] is the least count of any
+    chain from u to x.  At u, top is floors[v].  Each field of
+    top + floors[x] counts the labels of one chain u -> v, so the packed cut
+    is exact (`scnp._steps`).
+    """
+    steps, _, high = _steps(len(u), _segments(len(u)))
+    cap, seen = floors[v] | high, set()
+
+    def dfs(x, top):
+        if x == u:
+            return ()
+        for x2, lab in covers[x]:
+            t2 = top + steps[lab]
+            if (cap - (t2 + floors[x2])) & high == high and (x2, t2) not in seen:
+                seen.add((x2, t2))
+                if (found := dfs(x2, t2)) is not None:
+                    return found + (lab,)
+        return None
+
+    return dfs(v, 0)
 
 
 def upper_pattern_records(n, fails):

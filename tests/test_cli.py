@@ -66,6 +66,16 @@ def test_support_rejects_a_rank_mismatch(capsys):
     assert err == "error: rank mismatch: 12 vs 321\n"
 
 
+@pytest.mark.parametrize(
+    "command", ["chains", "greedy", "ps", "check-scnp", "support", "check-snp", "check-mconvex"]
+)
+def test_every_pair_command_names_both_permutations_in_a_rank_mismatch(capsys, command):
+    rc, out, err = run(capsys, command, "12", "321")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: rank mismatch: 12 vs 321\n"
+
+
 def test_newton_text_and_json(capsys):
     rc, out, _ = run(capsys, "newton", "4213")
     assert rc == 0

@@ -45,6 +45,7 @@ from dualschubert.poly import _unpacker
 from oracles import (
     add_segment,
     dominant_chain_by_sets,
+    floor_path,
     floors_by_tuples,
     ps_mconvex_record_by_counts,
     support_table_by_union,
@@ -144,15 +145,17 @@ def test_count_route_matches_set_oracle(n):
         table = support_table_above(u)
         covers, floors = scnp._floor_fold(u, scnp._segments(n))
         assert floors.keys() == table.keys()
+        pending = scnp._non_dominant(u)[1]
         holds = {}
         for w, target in table.items():
             assert floors[w] == scnp._segment_floors(target, n)
             verdict = scnp._scnp_decide(u, w, target)
             holds[w] = verdict.holds
             assert verdict.holds == (dominant_chain_by_sets(u, w, target) is not None)
+            assert verdict.holds == (w not in pending)
             if verdict.holds:
                 assert chain_weight(verdict.witness).support() == target
-            path = scnp._floor_path(covers, u, w, floors)
+            path = floor_path(covers, u, w, floors)
             assert (path is not None) == verdict.holds
             if path is not None:
                 assert chain_weight(floor_chain(u, path)).support() == target
@@ -186,7 +189,7 @@ def test_count_route_matches_set_oracle_rank6_sample():
     for w in sample:
         verdict = scnp._scnp_decide(u, w, table[w])
         assert verdict.holds == (dominant_chain_by_sets(u, w, table[w]) is not None)
-        path = scnp._floor_path(covers, u, w, floors)
+        path = floor_path(covers, u, w, floors)
         assert (path is not None) == verdict.holds
         if path is not None:
             assert chain_weight(floor_chain(u, path)).support() == table[w]
@@ -208,8 +211,35 @@ def test_floor_path_expands_a_fixed_number_of_states():
     u = (1, 3, 2, 4, 5)
     covers, floors = scnp._floor_fold(u, scnp._segments(5))
     counting = CountingCovers(covers)
-    fails = sum(scnp._floor_path(counting, u, v, floors) is None for v in covers)
+    fails = sum(floor_path(counting, u, v, floors) is None for v in covers)
     assert (len(covers), fails, counting.reads) == (108, 9, 437)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_dominance_fold_matches_floor_path(n):
+    for u in all_perms(n):
+        covers, floors = scnp._floor_fold(u, scnp._segments(n))
+        fold_covers, pending = scnp._non_dominant(u)
+        assert fold_covers == covers
+        assert pending == [v for v in covers if floor_path(covers, u, v, floors) is None]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dominance_fold_leaves_a_tight_witness(n):
+    # from each dominant v, tight covers from dominant x lead back to u
+    steps = scnp._steps(n, scnp._segments(n))[0]
+    for u in all_perms(n):
+        covers, floors = scnp._floor_fold(u, scnp._segments(n))
+        dominant = covers.keys() - set(scnp._non_dominant(u)[1])
+        table = support_table_above(u)
+        for v in dominant:
+            x, labels = v, ()
+            while x != u:
+                x, lab = next((x2, lab) for x2, lab in covers[x] if x2 in dominant
+                              and floors[x2] + steps[lab] == floors[x])
+                labels = (lab,) + labels
+            assert sum(steps[lab] for lab in labels) == floors[v]
+            assert chain_weight(floor_chain(u, labels)).support() == table[v]
 
 
 def subsets(n):
@@ -271,10 +301,40 @@ def test_subset_floor_unit_matches_certificate_rank6(key):
     assert scnp._run_unit("ps-mconvex", 6, key) == certificate_record(u)
 
 
+@pytest.fixture
+def every_pair_counted(monkeypatch):
+    """Mark every pair non-dominant, so that the ps-mconvex unit counts each
+    one through the memo, as it does for a pair with no dominant chain."""
+    non_dominant = scnp._non_dominant
+
+    def none_dominant(u):
+        covers, _ = non_dominant(u)
+        return covers, list(covers)
+
+    monkeypatch.setattr(scnp, "_non_dominant", none_dominant)
+
+
+# the oracle counts every pair's points one by one; tests share its records
+record_by_counts = lru_cache(maxsize=None)(ps_mconvex_record_by_counts)
+RANK6_KEYS = ["123456", "214365", "345612"]
+
+
+@pytest.mark.parametrize("n, keys", [pytest.param(n, None, id=str(n)) for n in (3, 4, 5)]
+                         + [pytest.param(6, RANK6_KEYS, id="6-sample")])
+def test_ps_mconvex_unit_counts_only_non_dominant_pairs(n, keys):
+    for key in keys or [format_perm(u) for u in all_perms(n)]:
+        scnp._floors_base_size.cache_clear()
+        assert scnp._run_unit("ps-mconvex", n, key) == record_by_counts(n, key)
+        memo = scnp._floors_base_size.cache_info()
+        assert memo.hits + memo.misses == len(scnp._non_dominant(parse_perm(key))[1])
+    scnp._floors_base_size.cache_clear()
+
+
+@pytest.mark.usefixtures("every_pair_counted")
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_ps_mconvex_unit_matches_uncached_oracle(n):
     keys = [format_perm(u) for u in all_perms(n)]
-    expected = {key: ps_mconvex_record_by_counts(n, key) for key in keys}
+    expected = {key: record_by_counts(n, key) for key in keys}
     scnp._floors_base_size.cache_clear()
     warm = {key: scnp._run_unit("ps-mconvex", n, key) for key in keys}
     assert scnp._floors_base_size.cache_info().hits > 0
@@ -285,9 +345,10 @@ def test_ps_mconvex_unit_matches_uncached_oracle(n):
     assert warm == cold == expected
 
 
-@pytest.mark.parametrize("key", ["123456", "214365", "345612"])
+@pytest.mark.usefixtures("every_pair_counted")
+@pytest.mark.parametrize("key", RANK6_KEYS)
 def test_ps_mconvex_unit_matches_uncached_oracle_rank6(key):
-    expected = ps_mconvex_record_by_counts(6, key)
+    expected = record_by_counts(6, key)
     scnp._floors_base_size.cache_clear()
     scnp._run_unit("ps-mconvex", 6, "132546")
     hits = scnp._floors_base_size.cache_info().hits
@@ -297,6 +358,7 @@ def test_ps_mconvex_unit_matches_uncached_oracle_rank6(key):
     assert scnp._run_unit("ps-mconvex", 6, key) == expected  # memo cold
 
 
+@pytest.mark.usefixtures("every_pair_counted")
 def test_ps_mconvex_unit_fails_every_pair_whose_count_differs(monkeypatch):
     # no support of rank 7 or less fails; a count of 0 is what non-supermodular floors get
     monkeypatch.setattr(scnp, "_base_size", lambda z, d: 0)
@@ -752,7 +814,7 @@ def test_failed_final_write_does_not_hide_the_error(monkeypatch, tmp_path):
 def test_budget_bounds_a_pool_sweep(monkeypatch):
     monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
     start = time.monotonic()
-    report = verify_ps_mconvex(6, jobs=2, budget=1.0)
+    report = verify_ps_mconvex(7, jobs=2, budget=1.0)
     assert time.monotonic() - start < 15
     assert not report.complete
     assert multiprocessing.active_children() == []
