@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget in seconds; exceeding it yields a"
                         " partial, resumable report; an in-process run"
                         " (--jobs 1) first finishes the unit it is running,"
-                        " up to about 20 s at rank 7")
+                        " up to about 8 s at rank 7")
     p.add_argument("--checkpoint", default=None,
                    help="write resume state to this file before the first"
                         " unit, at most once a second while units finish,"

@@ -12,9 +12,9 @@ the maximal segments of I and z_T superadditive, so C = T exactly when they
 agree on the n(n-1)/2 segments {i, ..., j-1}.  Counts only grow along a
 chain: a prefix exceeding z_T on a segment is cut.  `is_scnp` reads z_T off
 the support, tries the greedy chain for its witness, then a DFS over (node,
-counts).  The sweeps search no chain: over the floors of `_floor_fold`, one
-fold marks [u, v] dominant when some cover x < v is dominant and tight,
-floors[x] + step == floors[v] (`_non_dominant`).
+counts).  The sweeps search no chain: one fold, `_dominance_fold`, gives
+each v its floors and marks [u, v] dominant when some cover x < v is
+dominant and tight, floors[x] + step == floors[v].
 
 Supports come from the key-set fold `poly._key_table`, one packed int per
 monomial: the support of [u, v] is the union, over the last covers of its
@@ -31,12 +31,12 @@ and the floor fold's min is a few operations on whole ints.
 
 The ps-mconvex sweep counts lattice points only where no chain is dominant:
 a dominant chain's support is T and a Minkowski sum of label simplices, so
-T is M-convex (Murota 2003; Postnikov 2009).  Two folds over the rest's
-down-closure read no support point.  The key-set fold gives |T|, and the
-floor fold over every coordinate subset gives z_T.  T lies inside P(z_T),
-so it is every integer point of P(z_T) exactly when P(z_T) has |T| of
-them; with z_T supermodular that is M-convexity (`polytope._base_size`,
-which counts 0 when z_T is not supermodular).
+T is M-convex (Murota 2003; Postnikov 2009).  Its dominance fold runs on
+every coordinate subset, so the same table gives z_T, and the key-set fold
+over the rest's down-closure gives |T|; neither reads a support point.
+T lies inside P(z_T), so it is every integer point of P(z_T) exactly when
+P(z_T) has |T| of them; with z_T supermodular that is M-convexity
+(`polytope._base_size`, which counts 0 when z_T is not supermodular).
 
 Conjugation rc(v) = w0 v w0 is an automorphism of Bruhat order that fixes
 w0 (Bjorner-Brenti 2005).  It turns the cover label (a, b) into
@@ -278,11 +278,11 @@ def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
     return _scnp_search(u, w, z, examined=1)
 
 
-def _floor_fold(u: Perm, sets: tuple[int, ...], covers=None) -> tuple[dict, dict]:
-    """interval_covers(u, w0), and z_T on the coordinate sets `sets`, packed
-    as in `_steps`, for the support T of each [u, v].  Pass `covers`, a
-    down-closed part of interval_covers(u, w0) in its order, to fold over it
-    alone.
+def _dominance_fold(u: Perm, sets: tuple[int, ...]) -> tuple[dict, dict, list[Perm]]:
+    """interval_covers(u, w0); z_T on the coordinate sets `sets`, packed as in
+    `_steps`, for the support T of each [u, v]; and the v, in the covers'
+    order, such that [u, v] has no dominant chain.  One fold: v's value is
+    its floors and whether [u, v] has a dominant chain.
 
     T is the union of the chains' supports, each the Minkowski sum of its
     label simplices.  A linear form's minimum over a union is the least of
@@ -291,44 +291,36 @@ def _floor_fold(u: Perm, sets: tuple[int, ...], covers=None) -> tuple[dict, dict
     is a min-plus fold over last covers.  The min is field-wise: ge keeps the
     top bit of each field where z >= t, ge - (ge >> W-1) sets the bits below
     those top bits, and there z takes t's value.
+
+    So a chain's count on I is z_C(I) for its support C, and floors[x] is
+    the least count of any chain u -> x.  [u, u] has a dominant chain, and
+    [u, v] has one exactly when some cover x < v has one and floors[x] +
+    step(label) == floors[v]: if a chain u -> x -> v counts c_x + step =
+    floors[v], then c_x <= floors[x], hence c_x = floors[x], so every prefix
+    of a dominant chain is dominant and its last cover is tight; conversely a
+    dominant chain to x plus a tight cover is dominant.  No field carries
+    (`_steps`), so int equality is field-wise equality.  Which sets are
+    folded does not change the verdict: counts equal to z_T on the segments
+    mean C = T (module docstring), hence z_C = z_T on every subset, and
+    counts equal to z_T on every subset are so on the segments.  Both pick
+    out the dominant chains.
     """
     steps, width, high = _steps(len(u), sets)
     w = longest_element(len(u))
-    covers = bruhat.interval_covers(u, w) if covers is None else covers
+    covers = bruhat.interval_covers(u, w)
 
     def least(z, t):
         ge = ((z | high) - t) & high
         return z ^ (z ^ t) & (ge - (ge >> width - 1))
 
     def step(v, below):
-        return reduce(least, [z + steps[lab] for z, lab in below])
+        sums = [(z + steps[lab], dominant) for (z, dominant), lab in below]
+        floor = reduce(least, [z for z, _ in sums])
+        return floor, any(dominant and z == floor for z, dominant in sums)
 
-    return covers, bruhat._interval_fold(u, w, 0, step, covers)
-
-
-def _non_dominant(u: Perm) -> tuple[dict, list[Perm]]:
-    """interval_covers(u, w0), and the v in its order such that [u, v] has no
-    dominant chain, one counting floors[v]: a fold over `_floor_fold`'s
-    segment floors, whose value is floors[v] when [u, v] has one, else None.
-
-    [u, u] has one, and [u, v] has one exactly when some cover x < v has one
-    and floors[x] + step(label) == floors[v].  floors[v] is the field-wise
-    least of floors[x] + step over v's covers, and floors[x] the least count
-    of any chain u -> x.  So if a chain u -> x -> v counts c_x + step =
-    floors[v], then c_x <= floors[x], hence c_x = floors[x]: every prefix of
-    a dominant chain is dominant, and its last cover is tight.  Conversely a
-    dominant chain to x plus a tight cover is dominant.  No field carries
-    (`_steps`), so int equality is field-wise equality.
-    """
-    covers, floors = _floor_fold(u, _segments(len(u)))
-    steps = _steps(len(u), _segments(len(u)))[0]
-
-    def step(v, below):
-        tight = any(z is not None and z + steps[lab] == floors[v] for z, lab in below)
-        return floors[v] if tight else None
-
-    dominant = bruhat._interval_fold(u, longest_element(len(u)), 0, step, covers)
-    return covers, [v for v, z in dominant.items() if z is None]
+    table = bruhat._interval_fold(u, w, (0, True), step, covers)
+    floors = {v: z for v, (z, _) in table.items()}
+    return covers, floors, [v for v, (_, dominant) in table.items() if not dominant]
 
 
 def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
@@ -354,10 +346,11 @@ def _supports_cached(n: int) -> dict[Perm, set]:
 
 @lru_cache(maxsize=1 << 16)
 def _floors_base_size(n: int, floors: int) -> int:
-    """`_base_size` of z_T on the subsets of 1..n-1, packed as `_floor_fold`
-    packs them: each distinct vector is read back and counted once per
-    process.  The key holds the rank, since the packing depends on it and a
-    process may sweep several ranks; the bound is `bruhat._covers`'s."""
+    """`_base_size` of z_T on the subsets of 1..n-1, packed as
+    `_dominance_fold` packs them: each distinct vector is read back and
+    counted once per process.  The key holds the rank, since the packing
+    depends on it and a process may sweep several ranks; the bound is
+    `bruhat._covers`'s."""
     d = n - 1
     unpack = _unpacker(1 << d, _steps(n, tuple(range(1 << d)))[1])
     return _base_size(unpack(floors), d)
@@ -366,28 +359,28 @@ def _floors_base_size(n: int, floors: int) -> int:
 def _unit_ps_mconvex(n: int, key: str) -> dict:
     """Is the support T of [u, v] M-convex, for every v above u?
 
-    Only the v with no dominant chain are counted (module docstring), over
-    their down-closure, which is empty when every v is dominant.  Of the
-    2,053 pairs a rank-5 sweep runs, 42 are counted, with 26 distinct floor
-    vectors; of its 53,527 rank-6 pairs, 2,896 with 837.  Vectors repeat
-    across units, so the point count of P(z_T) comes from a per-process
-    memo (`_floors_base_size`).
+    One dominance fold over every coordinate subset gives each v its z_T
+    and its verdict.  Only the v with no dominant chain are counted (module
+    docstring): the key-set fold runs over their down-closure, which is
+    empty when every v is dominant.  Of the 2,053 pairs a rank-5 sweep runs,
+    42 are counted, with 26 distinct floor vectors; of its 53,527 rank-6
+    pairs, 2,896 with 837.  Vectors repeat across units, so the point count
+    of P(z_T) comes from a per-process memo (`_floors_base_size`).
     """
     u = parse_perm(key)
-    covers, pending = _non_dominant(u)
+    covers, floors, pending = _dominance_fold(u, tuple(range(1 << n - 1)))
     closure = set(pending)
     for v in reversed(covers):
         if v in closure:
             closure.update(x for x, _ in covers[v])
     part = {v: below for v, below in covers.items() if v in closure}
-    _, floors = _floor_fold(u, tuple(range(1 << n - 1)), part)
     supports = _key_table(u, longest_element(n), part)
     fails = [v for v in pending if _floors_base_size(n, floors[v]) != len(supports[v])]
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 
 def _unit_scnp_pattern(n: int, key: str) -> dict:
-    covers, fails = _non_dominant(parse_perm(key))
+    covers, _, fails = _dominance_fold(parse_perm(key), _segments(n))
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 

@@ -26,7 +26,7 @@ from dualschubert.perm import (
 )
 from dualschubert.poly import _count_table, _unpacker
 from dualschubert.polytope import _base_points, _is_supermodular
-from dualschubert.scnp import UPPER_PATTERN, _floor_fold, _segments, _steps
+from dualschubert.scnp import UPPER_PATTERN, _segments, _steps
 
 
 def inversion_count(w):
@@ -279,21 +279,29 @@ def ps_mconvex_record_by_counts(n, key):
     """The ps-mconvex unit record of u = key, pair by pair, with no memo:
     the reference for `scnp._unit_ps_mconvex`.
 
-    |T| is the key count of the coefficient fold, and z_T comes from the
-    subset-floor fold.  T is M-convex exactly when z_T is supermodular and
-    P(z_T) has |T| integer points, each of them listed one by one.
+    T is the key set of the coefficient fold, read back as points, and
+    z_T(I) is the least sum over I of a point of T, taken over each subset
+    I.  T is M-convex exactly when z_T is supermodular and P(z_T) has |T|
+    integer points, each of them listed one by one.
     """
     u, d = parse_perm(key), n - 1
-    subsets = tuple(range(1 << d))
-    covers, floors = _floor_fold(u, subsets)
     counts = _count_table(u, longest_element(n))
-    unpack = _unpacker(1 << d, _steps(n, subsets)[1])
+    unpack = _unpacker(d)
+
+    def subset_sums(t):
+        """t(I) for every subset I, at index sum(2^i for i in I)."""
+        sums = [0]
+        for x in t:
+            sums += [s + x for s in sums]
+        return sums
+
     fails = []
-    for v in covers:
-        z = unpack(floors[v])
-        if not (_is_supermodular(z, d) and len(list(_base_points(z, d))) == len(counts[v])):
+    for v, terms in counts.items():
+        points = [unpack(e) for e in terms]
+        z = list(map(min, zip(*map(subset_sums, points))))
+        if not (_is_supermodular(z, d) and len(list(_base_points(z, d))) == len(points)):
             fails.append(format_perm(v))
-    return {"pairs": len(covers), "fails": fails}
+    return {"pairs": len(counts), "fails": fails}
 
 
 def dominant_chain_by_sets(u, w, target):
@@ -336,10 +344,10 @@ def floor_path(covers, u, v, floors):
     """Labels, from u up, of a dominant chain u -> v, or None: a DFS down from v.
 
     `covers` is interval_covers(u, w0) and `floors` maps each x in it to z_T
-    of [u, x] on the segments (`scnp._floor_fold`).  A partial chain x -> v
-    with counts `top` is cut when seen before, or when top + floors[x]
-    exceeds floors[v] on a segment: floors[x] is the least count of any
-    chain from u to x.  At u, top is floors[v].  Each field of
+    of [u, x] on the segments (`scnp._dominance_fold`).  A partial chain
+    x -> v with counts `top` is cut when seen before, or when top +
+    floors[x] exceeds floors[v] on a segment: floors[x] is the least count
+    of any chain from u to x.  At u, top is floors[v].  Each field of
     top + floors[x] counts the labels of one chain u -> v, so the packed cut
     is exact (`scnp._steps`).
     """

@@ -38,7 +38,7 @@ from dualschubert import (
     verify_scnp_pattern,
     verify_theorems,
 )
-from dualschubert import scnp
+from dualschubert import bruhat, scnp
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
 from dualschubert.perm import _complement
 from dualschubert.poly import _unpacker
@@ -143,9 +143,8 @@ def reference_unit(table, holds):
 def test_count_route_matches_set_oracle(n):
     for u in all_perms(n):
         table = support_table_above(u)
-        covers, floors = scnp._floor_fold(u, scnp._segments(n))
+        covers, floors, pending = scnp._dominance_fold(u, scnp._segments(n))
         assert floors.keys() == table.keys()
-        pending = scnp._non_dominant(u)[1]
         holds = {}
         for w, target in table.items():
             assert floors[w] == scnp._segment_floors(target, n)
@@ -175,7 +174,7 @@ def test_floor_unit_matches_reference_rank6(key):
 def test_count_route_matches_set_oracle_rank6_sample():
     u = (1, 3, 2, 4, 5, 6)
     table = support_table_above(u)
-    covers, floors = scnp._floor_fold(u, scnp._segments(6))
+    covers, floors, _ = scnp._dominance_fold(u, scnp._segments(6))
 
     def greedy_support(w):
         support = frozenset({(0,) * 5})
@@ -209,7 +208,7 @@ class CountingCovers(dict):
 def test_floor_path_expands_a_fixed_number_of_states():
     # without floors[x] in the cut the same verdicts take 1,608 expansions
     u = (1, 3, 2, 4, 5)
-    covers, floors = scnp._floor_fold(u, scnp._segments(5))
+    covers, floors, _ = scnp._dominance_fold(u, scnp._segments(5))
     counting = CountingCovers(covers)
     fails = sum(floor_path(counting, u, v, floors) is None for v in covers)
     assert (len(covers), fails, counting.reads) == (108, 9, 437)
@@ -217,29 +216,33 @@ def test_floor_path_expands_a_fixed_number_of_states():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_dominance_fold_matches_floor_path(n):
+    # the segment and subset packings give the same verdicts
     for u in all_perms(n):
-        covers, floors = scnp._floor_fold(u, scnp._segments(n))
-        fold_covers, pending = scnp._non_dominant(u)
-        assert fold_covers == covers
+        covers, floors, pending = scnp._dominance_fold(u, scnp._segments(n))
         assert pending == [v for v in covers if floor_path(covers, u, v, floors) is None]
+        subset_covers, _, subset_pending = scnp._dominance_fold(u, subsets(n))
+        assert subset_covers == covers
+        assert subset_pending == pending
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_dominance_fold_leaves_a_tight_witness(n):
-    # from each dominant v, tight covers from dominant x lead back to u
-    steps = scnp._steps(n, scnp._segments(n))[0]
+    # from each dominant v, tight covers from dominant x lead back to u, in
+    # the segment packing and in the subset packing
     for u in all_perms(n):
-        covers, floors = scnp._floor_fold(u, scnp._segments(n))
-        dominant = covers.keys() - set(scnp._non_dominant(u)[1])
         table = support_table_above(u)
-        for v in dominant:
-            x, labels = v, ()
-            while x != u:
-                x, lab = next((x2, lab) for x2, lab in covers[x] if x2 in dominant
-                              and floors[x2] + steps[lab] == floors[x])
-                labels = (lab,) + labels
-            assert sum(steps[lab] for lab in labels) == floors[v]
-            assert chain_weight(floor_chain(u, labels)).support() == table[v]
+        for sets in (scnp._segments(n), subsets(n)):
+            steps = scnp._steps(n, sets)[0]
+            covers, floors, pending = scnp._dominance_fold(u, sets)
+            dominant = covers.keys() - set(pending)
+            for v in dominant:
+                x, labels = v, ()
+                while x != u:
+                    x, lab = next((x2, lab) for x2, lab in covers[x] if x2 in dominant
+                                  and floors[x2] + steps[lab] == floors[x])
+                    labels = (lab,) + labels
+                assert sum(steps[lab] for lab in labels) == floors[v]
+                assert chain_weight(floor_chain(u, labels)).support() == table[v]
 
 
 def subsets(n):
@@ -255,7 +258,7 @@ def unpacked(z, n, sets):
 def assert_floors_match_tuple_oracle(u):
     n = len(u)
     for sets in (scnp._segments(n), subsets(n)):
-        _, floors = scnp._floor_fold(u, sets)
+        _, floors, _ = scnp._dominance_fold(u, sets)
         oracle = floors_by_tuples(u, sets)
         assert {v: unpacked(z, n, sets) for v, z in floors.items()} == oracle
 
@@ -282,7 +285,7 @@ def certificate_record(u):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_subset_floor_unit_matches_certificate(n):
     for u in all_perms(n):
-        covers, floors = scnp._floor_fold(u, subsets(n))
+        covers, floors, _ = scnp._dominance_fold(u, subsets(n))
         table = support_table_above(u)
         assert covers.keys() == floors.keys() == table.keys()
         for v, supp in table.items():
@@ -294,7 +297,7 @@ def test_subset_floor_unit_matches_certificate(n):
 @pytest.mark.parametrize("key", ["123456", "214365", "345612"])
 def test_subset_floor_unit_matches_certificate_rank6(key):
     u = parse_perm(key)
-    _, floors = scnp._floor_fold(u, subsets(6))
+    _, floors, _ = scnp._dominance_fold(u, subsets(6))
     for v, supp in support_table_above(u).items():
         z = unpacked(floors[v], 6, subsets(6))
         assert list(z) == m_convex_certificate(supp)._masks()
@@ -305,13 +308,13 @@ def test_subset_floor_unit_matches_certificate_rank6(key):
 def every_pair_counted(monkeypatch):
     """Mark every pair non-dominant, so that the ps-mconvex unit counts each
     one through the memo, as it does for a pair with no dominant chain."""
-    non_dominant = scnp._non_dominant
+    dominance_fold = scnp._dominance_fold
 
-    def none_dominant(u):
-        covers, _ = non_dominant(u)
-        return covers, list(covers)
+    def none_dominant(u, sets):
+        covers, floors, _ = dominance_fold(u, sets)
+        return covers, floors, list(covers)
 
-    monkeypatch.setattr(scnp, "_non_dominant", none_dominant)
+    monkeypatch.setattr(scnp, "_dominance_fold", none_dominant)
 
 
 # the oracle counts every pair's points one by one; tests share its records
@@ -326,8 +329,21 @@ def test_ps_mconvex_unit_counts_only_non_dominant_pairs(n, keys):
         scnp._floors_base_size.cache_clear()
         assert scnp._run_unit("ps-mconvex", n, key) == record_by_counts(n, key)
         memo = scnp._floors_base_size.cache_info()
-        assert memo.hits + memo.misses == len(scnp._non_dominant(parse_perm(key))[1])
+        pending = scnp._dominance_fold(parse_perm(key), scnp._segments(n))[2]
+        assert memo.hits + memo.misses == len(pending)
     scnp._floors_base_size.cache_clear()
+
+
+@pytest.mark.parametrize("mode, folds", [("ps-mconvex", 2), ("scnp-pattern", 1)])
+def test_each_sweep_unit_folds_its_interval_once_per_question(mode, folds, monkeypatch):
+    # the dominance fold gives floors and verdicts; ps-mconvex adds the key-set fold
+    calls = []
+    fold = bruhat._interval_fold
+    monkeypatch.setattr(bruhat, "_interval_fold", lambda *args: calls.append(args) or fold(*args))
+    for key in ("12345", "13245"):  # no non-dominant pair, and some
+        calls.clear()
+        scnp._run_unit(mode, 5, key)
+        assert len(calls) == folds
 
 
 @pytest.mark.usefixtures("every_pair_counted")
