@@ -21,6 +21,7 @@ labels: the down-covers of v are w0 x for the up-covers x of w0 v.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -287,7 +288,11 @@ def multiset_dominates(
 
     True when there is a perfect matching pairing each (a, b) in g with a
     distinct (c, d) in h such that [a, b] is contained in [c, d].  Decided
-    with an augmenting-path bipartite matching.
+    by one sweep over g by left end: every (c, d) of h with c <= a is open,
+    and (a, b) takes the open pair with the least d >= b.  This is exact:
+    if a perfect matching gives (a, b) the pair (c*, d*) and the sweep's
+    pick (c, d) to a later (a', b'), swapping the two is still a matching,
+    since c* <= a <= a' and b' <= d <= d*.
 
     >>> multiset_dominates([(2, 3), (1, 3), (1, 2)], [(1, 3), (1, 3), (1, 2)])
     True
@@ -297,21 +302,12 @@ def multiset_dominates(
     gs, hs = _as_pair_list(g), _as_pair_list(h)
     if len(gs) != len(hs):
         raise ValueError(f"multiset sizes differ: {len(gs)} vs {len(hs)}")
-    k = len(gs)
-    allowed = [
-        [j for j, (c, d) in enumerate(hs) if c <= a and b <= d]
-        for a, b in gs
-    ]
-    match_of_h: list[int | None] = [None] * k
-
-    def augment(i: int, visited: set[int]) -> bool:
-        for j in allowed[i]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if match_of_h[j] is None or augment(match_of_h[j], visited):
-                match_of_h[j] = i
-                return True
-        return False
-
-    return all(augment(i, set()) for i in range(k))
+    closed, ends = hs[::-1], []  # h's pairs not yet open; open right ends, sorted
+    for a, b in gs:
+        while closed and closed[-1][0] <= a:
+            insort(ends, closed.pop()[1])
+        i = bisect_left(ends, b)
+        if i == len(ends):
+            return False
+        del ends[i]
+    return True

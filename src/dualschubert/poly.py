@@ -136,11 +136,7 @@ class SparsePolynomial:
             raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
         out = dict(self._terms)
         for exp, c in other._terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
+            out[exp] = out.get(exp, 0) + c
         return SparsePolynomial(self.nvars, out)
 
     def __mul__(self, other):
@@ -157,11 +153,7 @@ class SparsePolynomial:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return SparsePolynomial(self.nvars, out)
 
     __rmul__ = __mul__

@@ -116,13 +116,15 @@ def _nonneg_combination_exists(
         basis[leave] = enter
 
 
-def _check_point_dims(points: list[tuple]) -> int:
-    if not points:
+def _points(points: Iterable[tuple]) -> tuple[list[tuple], int]:
+    """The distinct points as sorted tuples, and their one dimension."""
+    pts = sorted(set(map(tuple, points)))
+    if not pts:
         raise ValueError("need at least one point")
-    d = len(points[0])
-    if any(len(p) != d for p in points):
+    d = len(pts[0])
+    if any(len(p) != d for p in pts):
         raise ValueError("points have mixed dimensions")
-    return d
+    return pts, d
 
 
 def hull_contains(points: Iterable[tuple], target: tuple) -> bool:
@@ -133,14 +135,13 @@ def hull_contains(points: Iterable[tuple], target: tuple) -> bool:
     >>> hull_contains({(1, 1), (0, 2)}, (2, 0))
     False
     """
-    pts = sorted(set(tuple(p) for p in points))
-    d = _check_point_dims(pts)
+    pts, d = _points(points)
     target = tuple(target)
     if len(target) != d:
         raise ValueError(f"target has dimension {len(target)}, points {d}")
-    if target in set(pts):
+    if target in pts:
         return True
-    columns = [tuple(p) + (1,) for p in pts]
+    columns = [p + (1,) for p in pts]
     return _nonneg_combination_exists(columns, target + (1,))
 
 
@@ -152,8 +153,7 @@ def hull_vertices(points: Iterable[tuple]) -> frozenset[tuple]:
     hull as the whole set; a survivor is kept exactly when it is not in the
     hull of the other survivors.
     """
-    pts = sorted(set(tuple(p) for p in points))
-    _check_point_dims(pts)
+    pts, _ = _points(points)
     if len(pts) == 1:
         return frozenset(pts)
     pset = set(pts)
@@ -438,8 +438,7 @@ def m_convex_certificate(
     >>> m_convex_certificate({(2, 0), (0, 2)}) is None
     True
     """
-    pts = set(tuple(p) for p in points)
-    d = _check_point_dims(list(pts))
+    pts, d = _points(points)
     if len({sum(p) for p in pts}) != 1:
         return None
     coords = list(zip(*pts))
@@ -507,8 +506,7 @@ def m_convex_failure(points: Iterable[LatticePoint]):
 def _exchange_failure(points: Iterable[LatticePoint]):
     """m_convex_failure by the exchange-pair loop alone, over all pairs in
     sorted order, alpha's excess coordinates before beta's."""
-    pts = sorted(set(tuple(p) for p in points))
-    d = _check_point_dims(pts)
+    pts, d = _points(points)
     members = set(pts)
 
     def moved(p: LatticePoint, i: int, j: int) -> LatticePoint:

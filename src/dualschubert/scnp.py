@@ -99,12 +99,12 @@ from .perm import (
     parse_perm,
     validate,
 )
-from .poly import _key_table, _unpacker, chain_weight, dual_schubert, global_weight
+from .poly import _key_table, _unpacker, chain_weight, global_weight
 from .polytope import (
     _base_size,
+    _snp_by_hull,
     gp_from_inversions,
     hull_vertices,
-    is_snp,
     m_convex_certificate,
 )
 from .tiling import vertices_via_tilings
@@ -242,8 +242,9 @@ def _segment_floors(target: frozenset, n: int) -> int:
     )
 
 
-def _scnp_search(u: Perm, w: Perm, z: int, examined: int) -> ScnpVerdict:
-    """DFS over (node, counts) states; a child above z or seen before is cut."""
+def _scnp_search(u: Perm, w: Perm, z: int) -> ScnpVerdict:
+    """DFS over (node, counts) states; a child above z or seen before is cut.
+    It runs after the greedy chain failed, so the verdict counts that chain."""
     interval = bruhat.interval_elements(u, w)
     steps, _, high = _steps(len(u), _segments(len(u)))
     cap = z | high
@@ -266,7 +267,7 @@ def _scnp_search(u: Perm, w: Perm, z: int, examined: int) -> ScnpVerdict:
         return None
 
     chain = dfs(u, 0, (u,), ())
-    return ScnpVerdict(chain is not None, chain, examined + (chain is not None))
+    return ScnpVerdict(chain is not None, chain, 1 + (chain is not None))
 
 
 def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
@@ -275,7 +276,7 @@ def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
     steps = _steps(len(u), _segments(len(u)))[0]
     if sum(steps[lab] for lab in g.labels) == z:
         return ScnpVerdict(True, g, 1)
-    return _scnp_search(u, w, z, examined=1)
+    return _scnp_search(u, w, z)
 
 
 def _dominance_fold(u: Perm, sets: tuple[int, ...]) -> tuple[dict, dict, list[Perm]]:
@@ -399,11 +400,11 @@ def _unit_theorems(n: int, key: str) -> dict:
     if chain_weight(g) != gw:
         fails.append({"kind": "greedy-weight-mismatch", "w": key})
     # one certificate proves M-convexity and SNP and gives the hull vertices;
-    # without it the support is not M-convex, and the exact routes decide the rest
+    # without it the support is not M-convex, and the simplex decides SNP
     cert = m_convex_certificate(supp)
     if cert is None:
         fails.append({"kind": "support-not-m-convex", "w": key})
-    if cert is None and not is_snp(dual_schubert(w)):
+    if cert is None and not _snp_by_hull(supp):
         fails.append({"kind": "support-not-snp", "w": key})
     if gp_from_inversions(w).integer_points() != supp:
         fails.append({"kind": "polytope-points-mismatch", "w": key})

@@ -232,8 +232,6 @@ def render_diagram(d: StaircaseDiagram) -> str:
 
 def render_tiling(d: StaircaseDiagram, t: RectTiling) -> str:
     """Rectangles drawn as borders, fills inside, corner sums at the anchors."""
-    if d.n != t.n:
-        raise ValueError(f"rank mismatch: diagram {d.n} vs tiling {t.n}")
     owner_of: dict[tuple[int, int], int] = {}
     for k, (top, left, bottom, right) in enumerate(t.rects, start=1):
         for i in range(top, bottom + 1):

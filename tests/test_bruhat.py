@@ -235,6 +235,8 @@ def test_multiset_dominates_fixtures():
     assert multiset_dominates([(1, 2), (2, 3)], [(1, 3), (2, 3)])
     assert not multiset_dominates([(1, 3), (1, 3)], [(1, 3), (2, 3)])
     assert multiset_dominates([], [])
+    # giving (1, 2) the open pair with the largest right end would strand (1, 4)
+    assert multiset_dominates([(1, 2), (1, 4)], [(1, 4), (1, 2)])
 
 
 def test_multiset_dominates_counts_counter_multiplicities():
@@ -254,8 +256,8 @@ def test_multiset_dominates_rejects_size_mismatch():
 def test_multiset_dominates_matches_bruteforce_random():
     rng = random.Random(13)
     pairs = [(a, b) for a in range(1, 5) for b in range(a + 1, 6)]
-    for _ in range(200):
-        k = rng.randrange(0, 5)
+    for _ in range(2000):
+        k = rng.randrange(0, 7)
         labels = [rng.choice(pairs) for _ in range(k)]
         targets = [rng.choice(pairs) for _ in range(k)]
         assert multiset_dominates(labels, targets) == dominates_bruteforce(

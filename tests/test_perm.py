@@ -180,9 +180,15 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_perm_rejects_garbage():
-    for bad in ["999", "10", "", "[1,2", "abc", "1 2 3"]:
+    for bad in ["999", "10", "", "[1,2", "abc", "1 2 3", "[]", "[1,x]"]:
         with pytest.raises(ValueError):
             parse_perm(bad)
+
+
+@pytest.mark.parametrize("make", [identity, longest_element, all_perms])
+def test_rank_zero_is_rejected(make):
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        make(0)
 
 
 def test_all_perms_is_lexicographic():

@@ -69,6 +69,34 @@ def test_addition_cancels_and_multiplies():
     assert (s + s * -1).is_zero()
     assert str(s * Fraction(1, 2)) == "1/2*x1 + 1/2*x2"
     assert str(s * 3) == "3*x1 + 3*x2"
+    p = (x1 + x2 * -1) * s  # (x1 - x2)(x1 + x2): the x1*x2 terms cancel
+    assert dict(p.items()) == {(2, 0): 1, (0, 2): -1}
+
+
+def test_constructor_and_arithmetic_errors():
+    with pytest.raises(ValueError, match="nvars must be >= 0"):
+        SparsePolynomial(-1)
+    for bad in [(1,), (1, -1), (1, 0.5)]:
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            SparsePolynomial(2, {bad: 1})
+    with pytest.raises(ValueError, match="variable index 0 out of range 1..2"):
+        SparsePolynomial.variable(0, 2)
+    a, b = SparsePolynomial.one(2), SparsePolynomial.one(3)
+    with pytest.raises(ValueError, match="nvars mismatch: 2 vs 3"):
+        a + b
+    with pytest.raises(ValueError, match="nvars mismatch: 2 vs 3"):
+        a * b
+    with pytest.raises(TypeError):
+        a + 1
+    with pytest.raises(TypeError):
+        a * "x"
+
+
+def test_repr_lists_terms_in_grevlex_order():
+    p = poly(2, {(0, 1): Fraction(1, 2), (1, 1): 3})
+    assert repr(p) == (
+        "SparsePolynomial(2, {(1, 1): Fraction(3, 1), (0, 1): Fraction(1, 2)})"
+    )
 
 
 def test_equality_and_hash():

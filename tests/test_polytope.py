@@ -59,6 +59,26 @@ def test_hull_contains_rejects_dimension_mismatch():
         hull_contains([(0, 0), (1,)], (0, 0))
 
 
+POINT_SET_ROUTES = [
+    lambda pts: hull_contains(pts, (0, 0)),
+    hull_vertices,
+    m_convex_certificate,
+    _exchange_failure,
+]
+
+
+@pytest.mark.parametrize("route", POINT_SET_ROUTES,
+                         ids=["hull_contains", "hull_vertices",
+                              "m_convex_certificate", "_exchange_failure"])
+def test_point_set_routes_share_their_input_checks(route):
+    with pytest.raises(ValueError, match="need at least one point"):
+        route([])
+    with pytest.raises(ValueError, match="points have mixed dimensions"):
+        route([(0, 0), (1,)])
+    # repeated points and lists count once, as tuples
+    assert route([[1, 1], (1, 1), [0, 2]]) == route({(1, 1), (0, 2)})
+
+
 def test_hull_contains_matches_caratheodory_random():
     rng = random.Random(23)
     for _ in range(60):
@@ -110,6 +130,20 @@ def test_gp_table_normalization():
         GeneralizedPermutahedron(2, {frozenset(): 1})
     with pytest.raises(ValueError):
         GeneralizedPermutahedron(2, {frozenset({3}): 1})
+    with pytest.raises(ValueError, match="nvars must be >= 0, got -1"):
+        GeneralizedPermutahedron(-1, {})
+
+
+def test_gp_input_errors():
+    p = gp_from_segment((1, 2), 2)
+    with pytest.raises(ValueError, match="nvars mismatch: 2 vs 3"):
+        p + gp_from_segment((1, 2), 3)
+    with pytest.raises(ValueError, match="point has dimension 3, expected 2"):
+        p.contains((1, 0, 0))
+    with pytest.raises(ValueError, match=r"segment \(2, 2\) out of range for 3 vars"):
+        gp_from_segment((2, 2), 3)
+    with pytest.raises(ValueError, match="bad subset key '1,2'"):
+        GeneralizedPermutahedron.from_json_dict({"nvars": 2, "z": {"1,2": 1}})
 
 
 def test_gp_from_segment_table():

@@ -586,7 +586,7 @@ def fault_certificate(monkeypatch):
 
 def fault_certificate_and_snp(monkeypatch):
     fault_certificate(monkeypatch)
-    monkeypatch.setattr(scnp, "is_snp", lambda f: False)
+    monkeypatch.setattr(scnp, "_snp_by_hull", lambda supp: False)
 
 
 def fault_inversion_polytope(monkeypatch):

@@ -75,6 +75,19 @@ def test_rect_tiling_validation():
     # gap: cell (1, 1) uncovered
     with pytest.raises(ValueError):
         RectTiling(3, ((1, 2, 1, 2), (2, 1, 2, 1)))
+    with pytest.raises(ValueError, match="staircase needs rank >= 2, got 1"):
+        RectTiling(1, ())
+    # rectangle 1 anchored at its corner but with top below bottom
+    with pytest.raises(ValueError, match="rectangle 1 is empty or out of range"):
+        RectTiling(3, ((2, 1, 1, 2), (2, 1, 2, 1)))
+
+
+@pytest.mark.parametrize("route", [tiling_vertex, render_tiling])
+def test_tiling_routes_reject_a_rank_mismatch(route):
+    d = build_diagram((4, 2, 1, 3))
+    t = next(enumerate_tilings(3))
+    with pytest.raises(ValueError, match="rank mismatch: diagram 4 vs tiling 3"):
+        route(d, t)
 
 
 def test_enumerate_tilings_counts_are_catalan():
