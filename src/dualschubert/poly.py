@@ -243,8 +243,9 @@ def _times_segment(terms: dict, a: int, b: int, out: dict, width: int) -> dict:
     return out
 
 
-def _segment_product(segs, nvars: int) -> SparsePolynomial:
-    """The product of the segment polynomials of the labels segs, in order.
+def _segment_terms(segs, nvars: int) -> dict:
+    """The product of the segment polynomials of the labels segs, in order,
+    as packed monomial -> int coefficient.
 
     The labels are a chain's or a permutation's inversions, so every exponent
     fits its field (`_field_width`).
@@ -252,8 +253,15 @@ def _segment_product(segs, nvars: int) -> SparsePolynomial:
     width, terms = _field_width(nvars), {0: 1}
     for a, b in segs:
         terms = _times_segment(terms, a, b, {}, width)
+    return terms
+
+
+def _segment_product(segs, nvars: int) -> SparsePolynomial:
+    """`_segment_terms` read back as a polynomial."""
     unpack = _unpacker(nvars)
-    return SparsePolynomial(nvars, {unpack(e): c for e, c in terms.items()})
+    return SparsePolynomial(
+        nvars, {unpack(e): c for e, c in _segment_terms(segs, nvars).items()}
+    )
 
 
 def segment_poly(seg: PositionPair, nvars: int) -> SparsePolynomial:

@@ -117,8 +117,8 @@ def _nonneg_combination_exists(
 
 
 def _points(points: Iterable[tuple]) -> tuple[list[tuple], int]:
-    """The distinct points as sorted tuples, and their one dimension."""
-    pts = sorted(set(map(tuple, points)))
+    """The distinct points as tuples, unsorted, and their one dimension."""
+    pts = list(set(map(tuple, points)))
     if not pts:
         raise ValueError("need at least one point")
     d = len(pts[0])
@@ -136,6 +136,7 @@ def hull_contains(points: Iterable[tuple], target: tuple) -> bool:
     False
     """
     pts, d = _points(points)
+    pts.sort()  # a fixed simplex column order
     target = tuple(target)
     if len(target) != d:
         raise ValueError(f"target has dimension {len(target)}, points {d}")
@@ -409,10 +410,12 @@ def gp_from_inversions(w: Perm) -> GeneralizedPermutahedron:
     """
     w = validate(w)
     nvars = len(w) - 1
-    cells = [frozenset(range(a, b)) for a, b in inversions(w)]
-    return GeneralizedPermutahedron(
-        nvars, {s: sum(cell <= s for cell in cells) for s in _mask_subsets(nvars)}
-    )
+    # {a, ..., b-1} as bits a-1 .. b-2, subsets by bitmask as in _mask_subsets
+    segs = [(1 << b - 1) - (1 << a - 1) for a, b in inversions(w)]
+    return GeneralizedPermutahedron(nvars, {
+        s: sum(m & seg == seg for seg in segs)
+        for m, s in enumerate(_mask_subsets(nvars))
+    })
 
 
 # -- SNP and M-convexity ------------------------------------------------------
@@ -508,6 +511,7 @@ def _exchange_failure(points: Iterable[LatticePoint]):
     sorted order, alpha's excess coordinates before beta's."""
     pts, d = _points(points)
     members = set(pts)
+    pts.sort()  # fixes which witness is named
 
     def moved(p: LatticePoint, i: int, j: int) -> LatticePoint:
         q = list(p)

@@ -94,12 +94,13 @@ from .perm import (
     contains_pattern,
     format_perm,
     identity,
+    inversions,
     length,
     longest_element,
     parse_perm,
     validate,
 )
-from .poly import _key_table, _unpacker, chain_weight, global_weight
+from .poly import _key_table, _segment_terms, _unpacker
 from .polytope import (
     _base_size,
     _snp_by_hull,
@@ -386,18 +387,31 @@ def _unit_scnp_pattern(n: int, key: str) -> dict:
 
 
 def _unit_theorems(n: int, key: str) -> dict:
+    """The paper's claims for one w, each checked on its own route.
+
+    The global weight is the packed product of w's inversion segments
+    (`poly._segment_terms`): its keys must be the support that the key-set
+    fold gave w.  The greedy chain from the identity to w must pass
+    `is_greedy`, and its packed weight must equal the global one.  The
+    support, decoded once, must pass the M-convexity certificate and be SNP
+    (by the simplex when the certificate fails), and be every integer point
+    of the inversion polytope.  Tilings, the coefficient-1 keys of the
+    weight, decoded alone, and the hull must give the same vertices.
+    """
     w = parse_perm(key)
     fails: list[dict] = []
-    gw = global_weight(w)
-    supp = frozenset(map(_unpacker(n - 1), _supports_cached(n)[w]))
-    gsupp = gw.support()
-    if supp != gsupp:
+    gw = _segment_terms(sorted(inversions(w)), n - 1)
+    keys = _supports_cached(n)[w]
+    unpack = _unpacker(n - 1)
+    supp = frozenset(map(unpack, keys))
+    same = keys == gw.keys()
+    if not same:
         fails.append({"kind": "support-mismatch", "w": key})
     e = identity(n)
     g = greedy_chain(e, w)
     if not is_greedy(g, e, w):
         fails.append({"kind": "greedy-chain-not-greedy", "w": key})
-    if chain_weight(g) != gw:
+    if _segment_terms(g.labels, n - 1) != gw:
         fails.append({"kind": "greedy-weight-mismatch", "w": key})
     # one certificate proves M-convexity and SNP and gives the hull vertices;
     # without it the support is not M-convex, and the simplex decides SNP
@@ -409,8 +423,11 @@ def _unit_theorems(n: int, key: str) -> dict:
     if gp_from_inversions(w).integer_points() != supp:
         fails.append({"kind": "polytope-points-mismatch", "w": key})
     vt = vertices_via_tilings(w)
-    vc = gw.coeff_one_exponents()
-    vh = cert.vertices() if cert is not None and gsupp == supp else hull_vertices(gsupp)
+    vc = frozenset(unpack(m) for m, c in gw.items() if c == 1)
+    if cert is not None and same:
+        vh = cert.vertices()
+    else:
+        vh = hull_vertices(supp if same else frozenset(map(unpack, gw)))
     if not (vt == vc == vh):
         fails.append({"kind": "vertex-method-mismatch", "w": key})
     return {"pairs": 1, "fails": fails}

@@ -19,11 +19,19 @@ cell must span columns out to some corner m's width, which detaches the
 corners above m (shifted right) from those below (same left wall).  The
 tiling count for rank n is therefore a Catalan number: 1, 2, 5, 14, 42
 for n = 2..6; tests pin these against a brute-force partition search.
+
+Vertices are read on bitmasks.  Each process enumerates a rank's tilings
+once and keeps every rectangle's cells as one int (`_tilings`); w's filled
+cells are one int too, so a rectangle's count is the popcount of the two
+masked together.  `tiling_vertex` sums the cells of a diagram one by one;
+`render_tiling` uses it, and tests check the bitmask route against it for
+every tiling of every w of ranks 2..6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .perm import Perm, PositionPair, format_perm, inversions, validate
@@ -150,11 +158,42 @@ def tiling_vertex(d: StaircaseDiagram, t: RectTiling) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _cell_bit(n: int, i: int, j: int) -> int:
+    """Cell (i, j) of the rank-n staircase as a one-bit mask: bit (i-1)n + j-1."""
+    return 1 << (i - 1) * n + j - 1
+
+
+@lru_cache(maxsize=None)
+def _tilings(n: int) -> tuple[tuple[RectTiling, tuple[int, ...]], ...]:
+    """Every rank-n tiling in enumeration order, with each rectangle's cells
+    as one bitmask (`_cell_bit`); enumerated and validated once per rank."""
+    return tuple(
+        (t, tuple(
+            sum(_cell_bit(n, i, j) for i in range(top, bottom + 1)
+                for j in range(left, right + 1))
+            for top, left, bottom, right in t.rects
+        ))
+        for t in enumerate_tilings(n)
+    )
+
+
 def tiling_vertex_list(w: Perm) -> list[tuple[RectTiling, tuple[int, ...]]]:
-    """Every tiling with its vertex vector, in enumeration order."""
+    """Every tiling with its vertex vector, in enumeration order.
+
+    The filled cells of w's diagram are one bitmask, inversion (a, b) at
+    cell (a, n+1-b) as in `build_diagram`, so a rectangle's count is the
+    popcount of its cells masked by it; `tiling_vertex` is the cell-by-cell
+    route.
+    """
     w = validate(w)
-    d = build_diagram(w)
-    return [(t, tiling_vertex(d, t)) for t in enumerate_tilings(len(w))]
+    n = len(w)
+    if n < 2:
+        raise ValueError("staircase needs rank >= 2")
+    filled = sum(_cell_bit(n, a, n + 1 - b) for a, b in inversions(w))
+    return [
+        (t, tuple((filled & rect).bit_count() for rect in rects))
+        for t, rects in _tilings(n)
+    ]
 
 
 def vertices_via_tilings(w: Perm) -> frozenset[tuple[int, ...]]:

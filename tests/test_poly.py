@@ -31,6 +31,7 @@ from dualschubert.poly import (
     _count_table,
     _field_width,
     _key_table,
+    _segment_terms,
     _unpacker,
     grevlex_key,
 )
@@ -199,6 +200,20 @@ def test_segment_products_match_generic_product():
         assert chain_weight(chain) == generic_segment_product(chain.labels, 3)
     for w in all_perms(5):
         assert global_weight(w) == generic_segment_product(sorted(inversions(w)), 4)
+
+
+def test_segment_terms_match_generic_product():
+    def read_back(segs, nvars):
+        unpack = _unpacker(nvars)
+        terms = {unpack(m): c for m, c in _segment_terms(segs, nvars).items()}
+        return SparsePolynomial(nvars, terms)
+
+    for chain in enumerate_chains(identity(4), longest_element(4)):
+        assert read_back(chain.labels, 3) == generic_segment_product(chain.labels, 3)
+    for w in all_perms(5):
+        segs = sorted(inversions(w))
+        assert read_back(segs, 4) == generic_segment_product(segs, 4)
+    assert _segment_terms([], 2) == {0: 1}
 
 
 def test_chain_weight_fixtures():

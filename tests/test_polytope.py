@@ -19,6 +19,7 @@ from dualschubert import (
     gp_from_segment,
     hull_contains,
     hull_vertices,
+    inversions,
     is_m_convex,
     is_snp,
     length,
@@ -164,6 +165,14 @@ def test_gp_from_inversions_fixture():
         frozenset({1, 2}): 3,
     }
     assert p.integer_points() == frozenset({(1, 2), (2, 1)})
+
+
+def test_gp_from_inversions_is_the_sum_of_its_segments():
+    for w in all_perms(5):
+        total = GeneralizedPermutahedron(4, {})
+        for seg in inversions(w):
+            total = total + gp_from_segment(seg, 4)
+        assert gp_from_inversions(w) == total
 
 
 def test_gp_contains_and_points():

@@ -41,7 +41,7 @@ from dualschubert import (
 from dualschubert import bruhat, scnp
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
 from dualschubert.perm import _complement
-from dualschubert.poly import _unpacker
+from dualschubert.poly import _segment_terms, _unpacker
 from oracles import (
     add_segment,
     dominant_chain_by_sets,
@@ -574,8 +574,10 @@ def fault_greedy(monkeypatch):
 
 
 def fault_weight(monkeypatch):
-    wrong_at_w(monkeypatch, "chain_weight", lambda g: chain_weight(g) + chain_weight(g),
-               about=lambda g: g.nodes[-1])
+    labels = greedy_chain(identity(3), W).labels
+    wrong_at_w(monkeypatch, "_segment_terms",
+               lambda segs, nvars: {m: 2 * c for m, c in _segment_terms(segs, nvars).items()},
+               about=lambda segs, nvars: W if tuple(segs) == labels else None)
 
 
 def fault_certificate(monkeypatch):
@@ -871,15 +873,19 @@ def test_dead_worker_is_named_and_finished_units_kept(monkeypatch, tmp_path):
     verify_scnp_pattern(4, checkpoint_path=serial_path)
     monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
     run_unit = scnp._run_unit
+    # set in the parent once a record is kept; the forked workers share it
+    kept = multiprocessing.Event()
 
     def dying(mode, n, key):
         if key == "1243":
+            kept.wait(timeout=60)
             os._exit(9)
         return run_unit(mode, n, key)
 
     monkeypatch.setattr(scnp, "_run_unit", dying)
     with pytest.raises(RuntimeError, match="unit 1243 died with exit code 9"):
-        verify_scnp_pattern(4, jobs=2, checkpoint_path=path)
+        verify_scnp_pattern(4, jobs=2, checkpoint_path=path,
+                            progress=lambda *args: kept.set())
     assert multiprocessing.active_children() == []
     done, serial = checkpoint_done(path), checkpoint_done(serial_path)
     assert done and "1243" not in done and "2134" not in done  # nor its mirror

@@ -7,6 +7,7 @@ import pytest
 from dualschubert import (
     RectTiling,
     StaircaseDiagram,
+    all_perms,
     build_diagram,
     enumerate_tilings,
     length,
@@ -125,6 +126,21 @@ def test_tiling_vertex_list_order_and_values():
         (1, 2, 1),
     ]
     assert pairs[0][0].rects == ((1, 1, 1, 3), (2, 1, 2, 2), (3, 1, 3, 1))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tiling_vertex_list_matches_cell_by_cell_route(n):
+    tilings = list(enumerate_tilings(n))
+    for w in all_perms(n):
+        d = build_diagram(w)
+        pairs = tiling_vertex_list(w)
+        assert [t for t, _ in pairs] == tilings
+        assert [v for _, v in pairs] == [tiling_vertex(d, t) for t in tilings]
+
+
+def test_tiling_vertex_list_rejects_rank_one():
+    with pytest.raises(ValueError, match="staircase needs rank >= 2"):
+        tiling_vertex_list((1,))
 
 
 def test_vertices_via_tilings_fixtures():
