@@ -277,7 +277,7 @@ def _cmd_check_scnp(args) -> int:
                     "w": format_perm(w),
                     "holds": verdict.holds,
                     "witness": verdict.witness.to_json_dict()
-                    if verdict.witness
+                    if verdict.witness is not None
                     else None,
                     "chains_examined": verdict.chains_examined,
                 }

@@ -26,10 +26,11 @@ polyhedra", 1970).  S lies inside that polytope by the definition of z_S,
 so "S is every integer point" is a count: `_base_size` walks the points of
 the polytope of a supermodular z one coordinate short of the end, and the
 certificate compares that count with |S|.  `m_convex_certificate` checks
-this from the points, and the ps-mconvex sweep from the floors it folds and
-the size of a key set.  The certificate alone decides M-convexity; `is_snp`
-and the paper-theorems sweep try it before the simplex, and the
-exchange-pair loop runs only to name a rejected set's witness.
+this from z_S read off the points (`_subset_floors`), and the ps-mconvex
+sweep from the floors it folds and the size of a key set.  The certificate
+alone decides M-convexity; `is_snp` and the paper-theorems sweep try it
+before the simplex, and the exchange-pair loop runs only to name a rejected
+set's witness.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .perm import Perm, PositionPair, inversions, validate
 from .poly import ExponentVector, SparsePolynomial, global_weight
@@ -295,6 +296,26 @@ def _base_size(z: Sequence[int], n: int) -> int:
     return walk(0, [0])
 
 
+def _subset_floors(pts: Collection[tuple], d: int) -> list[int]:
+    """z(I) = min over the points of sum(p_i, i in I), for every subset I of
+    1..d by bitmask (`_mask_subsets`); z(empty) = 0.
+
+    Subsets grow by coordinates above their largest, with one list of the
+    points' sums per depth, so each z(I) costs one addition per point.
+    """
+    coords = list(zip(*pts))
+    z = [0] * (1 << d)
+
+    def fill(mask: int, sums: list[int], start: int) -> None:
+        for k in range(start, d):
+            grown = list(map(add, sums, coords[k]))
+            z[mask | 1 << k] = min(grown)
+            fill(mask | 1 << k, grown, k + 1)
+
+    fill(0, [0] * len(pts), 0)
+    return z
+
+
 class GeneralizedPermutahedron:
     """Polytope described by one support number per coordinate subset."""
 
@@ -444,17 +465,7 @@ def m_convex_certificate(
     pts, d = _points(points)
     if len({sum(p) for p in pts}) != 1:
         return None
-    coords = list(zip(*pts))
-    z = [0] * (1 << d)
-
-    def fill(mask: int, sums: list[int], start: int) -> None:
-        # subsets grow by coordinates above their largest, one list per depth
-        for k in range(start, d):
-            grown = list(map(add, sums, coords[k]))
-            z[mask | 1 << k] = min(grown)
-            fill(mask | 1 << k, grown, k + 1)
-
-    fill(0, [0] * len(pts), 0)
+    z = _subset_floors(pts, d)
     if _base_size(z, d) != len(pts):
         return None
     return GeneralizedPermutahedron(d, dict(zip(_mask_subsets(d), z)))

@@ -4,17 +4,18 @@ Single-chain support decisions and exhaustive rank sweeps.
 An interval [u, w] has the single-chain property when one saturated chain's
 weight has the full support T of the interval's weight; such a chain is
 dominant.  A chain's support C is the set of integer points of the
-generalized permutahedron whose z_C(I) counts the chain's labels (a, b) with
-{a, ..., b-1} inside I (Postnikov, "Permutohedra, associahedra, and beyond").
-C lies inside T, the weight being a positive sum of chain weights, so z_T <=
-z_C for z_T(I) = min over t in T of sum(t_i, i in I).  z_C is additive over
-the maximal segments of I and z_T superadditive, so C = T exactly when they
-agree on the n(n-1)/2 segments {i, ..., j-1}.  Counts only grow along a
-chain: a prefix exceeding z_T on a segment is cut.  `is_scnp` reads z_T off
-the support, tries the greedy chain for its witness, then a DFS over (node,
-counts).  The sweeps search no chain: one fold, `_dominance_fold`, gives
-each v its floors and marks [u, v] dominant when some cover x < v is
-dominant and tight, floors[x] + step == floors[v].
+generalized permutahedron P(z_C) whose z_C(I), for each subset I of 1..n-1,
+counts the chain's labels (a, b) with {a, ..., b-1} inside I (Postnikov,
+"Permutohedra, associahedra, and beyond").  C lies inside T, the weight
+being a positive sum of chain weights, so z_T <= z_C for z_T(I) = min over t
+in T of sum(t_i, i in I).  C = T exactly when they agree on every subset:
+then T lies inside P(z_T) = P(z_C), whose integer points are C, so T is C.
+Counts only grow along a chain: a prefix exceeding z_T on a subset is cut.
+`is_scnp` reads z_T off the support (`polytope._subset_floors`), tries the
+greedy chain for its witness, then a DFS over (node, counts).  The sweeps
+search no chain: one fold, `_dominance_fold`, gives each v its floors and
+marks [u, v] dominant when some cover x < v is dominant and tight:
+floors[x] + step == floors[v].
 
 Supports come from the key-set fold `poly._key_table`, one packed int per
 monomial: the support of [u, v] is the union, over the last covers of its
@@ -23,17 +24,17 @@ coefficients carried.  Tests pin this against a set-union dynamic program,
 against the keys of the coefficient fold and against the rational
 coefficients.
 
-Label counts and floors are packed ints, one field per coordinate set: the
-segments, or all 2^(n-1) subsets of 1..n-1.  `_steps` holds each label's
-packed 0/1 counts and says why no field carries or borrows, so a chain's
-counts are a sum of steps, a comparison with z_T is one subtract and mask,
-and the floor fold's min is a few operations on whole ints.
+Label counts and floors are packed ints, one field per subset of 1..n-1,
+2^(n-1) of them.  `_steps` holds each label's packed 0/1 counts and says why
+no field carries or borrows, so a chain's counts are a sum of steps, a
+comparison with z_T is one subtract and mask, and the floor fold's min is a
+few operations on whole ints.
 
 The ps-mconvex sweep counts lattice points only where no chain is dominant:
 a dominant chain's support is T and a Minkowski sum of label simplices, so
-T is M-convex (Murota 2003; Postnikov 2009).  Its dominance fold runs on
-every coordinate subset, so the same table gives z_T, and the key-set fold
-over the rest's down-closure gives |T|; neither reads a support point.
+T is M-convex (Murota 2003; Postnikov 2009).  For the rest, the dominance
+fold's floors are z_T, and the key-set fold over their down-closure gives
+|T|; neither reads a support point.
 T lies inside P(z_T), so it is every integer point of P(z_T) exactly when
 P(z_T) has |T| of them; with z_T supermodular that is M-convexity
 (`polytope._base_size`, which counts 0 when z_T is not supermodular).
@@ -78,7 +79,6 @@ import traceback
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -104,6 +104,7 @@ from .poly import _key_table, _segment_terms, _unpacker
 from .polytope import (
     _base_size,
     _snp_by_hull,
+    _subset_floors,
     gp_from_inversions,
     hull_vertices,
     m_convex_certificate,
@@ -202,52 +203,32 @@ def support_table_above(u: Perm) -> dict[Perm, frozenset]:
 
 
 @lru_cache(maxsize=None)
-def _segments(n: int) -> tuple[int, ...]:
-    """The segments {i, ..., j-1} of 1..n-1, (i, j) in lexicographic order, as
-    coordinate-set bitmasks: bit i-1 for coordinate i."""
-    return tuple(
-        (1 << j - 1) - (1 << i - 1) for i in range(1, n) for j in range(i + 1, n + 1)
-    )
+def _steps(n: int) -> tuple[dict, int, int]:
+    """Each label's packed counts on the subsets of 1..n-1, the field width
+    W, and G, the int with every field's top bit set.
 
-
-@lru_cache(maxsize=None)
-def _steps(n: int, sets: tuple[int, ...]) -> tuple[dict, int, int]:
-    """Each label's packed counts on the coordinate sets `sets`, the field
-    width W, and G, the int with every field's top bit set.
-
-    `sets` holds bitmasks: the segments (`_segments(n)`) or every subset of
-    1..n-1.  Set k's field is bits [Wk, W(k+1)), where label (a, b) counts 1
-    when the set holds {a, ..., b-1}; a chain's counts are the sum of its
-    labels' steps.  W = bit_length(n(n-1)/2) + 1.  Every field here counts
-    the labels of one chain, so it is at most n(n-1)/2 < 2^(W-1): a sum
-    carries into no other field, and (z | G) - c borrows from none and keeps
-    a field's top bit exactly when c <= z there.
+    Subset I, as a bitmask with bit i-1 for coordinate i, has the field bits
+    [WI, W(I+1)), where label (a, b) counts 1 when I holds {a, ..., b-1}; a
+    chain's counts are the sum of its labels' steps.  W = bit_length(n(n-1)/2)
+    + 1.  Every field here counts the labels of one chain, so it is at most
+    n(n-1)/2 < 2^(W-1): a sum carries into no other field, and (z | G) - c
+    borrows from none and keeps a field's top bit exactly when c <= z there.
     """
     width = (n * (n - 1) // 2).bit_length() + 1
-    fields = [1 << width * k for k in range(len(sets))]
-    labels = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
-    steps = {
-        lab: sum(f for f, m in zip(fields, sets) if m & seg == seg)
-        for lab, seg in zip(labels, _segments(n))
-    }
+    fields = [1 << width * m for m in range(1 << n - 1)]
+    steps = {}
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            seg = (1 << b - 1) - (1 << a - 1)
+            steps[a, b] = sum(f for m, f in enumerate(fields) if m & seg == seg)
     return steps, width, sum(fields) << width - 1
-
-
-def _segment_floors(target: frozenset, n: int) -> int:
-    """Per segment (i, j): z_T(i, j) = min over t in T of t_i + ... + t_{j-1},
-    packed as in `_steps`, whose labels are the segments in field order."""
-    steps, width, _ = _steps(n, _segments(n))
-    sums = [list(accumulate(t, initial=0)) for t in target]
-    return sum(
-        min(s[j - 1] - s[i - 1] for s in sums) << width * k for k, (i, j) in enumerate(steps)
-    )
 
 
 def _scnp_search(u: Perm, w: Perm, z: int) -> ScnpVerdict:
     """DFS over (node, counts) states; a child above z or seen before is cut.
     It runs after the greedy chain failed, so the verdict counts that chain."""
     interval = bruhat.interval_elements(u, w)
-    steps, _, high = _steps(len(u), _segments(len(u)))
+    steps, _, high = _steps(len(u))
     cap = z | high
     ups: dict[Perm, list] = {}
     seen: set = set()
@@ -272,19 +253,19 @@ def _scnp_search(u: Perm, w: Perm, z: int) -> ScnpVerdict:
 
 
 def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
-    z = _segment_floors(target, len(u))
+    steps, width, _ = _steps(len(u))
+    z = sum(f << width * m for m, f in enumerate(_subset_floors(target, len(u) - 1)))
     g = greedy_chain(u, w)
-    steps = _steps(len(u), _segments(len(u)))[0]
     if sum(steps[lab] for lab in g.labels) == z:
         return ScnpVerdict(True, g, 1)
     return _scnp_search(u, w, z)
 
 
-def _dominance_fold(u: Perm, sets: tuple[int, ...]) -> tuple[dict, dict, list[Perm]]:
-    """interval_covers(u, w0); z_T on the coordinate sets `sets`, packed as in
-    `_steps`, for the support T of each [u, v]; and the v, in the covers'
-    order, such that [u, v] has no dominant chain.  One fold: v's value is
-    its floors and whether [u, v] has a dominant chain.
+def _dominance_fold(u: Perm) -> tuple[dict, dict, list[Perm]]:
+    """interval_covers(u, w0); z_T on every subset, packed as in `_steps`,
+    for the support T of each [u, v]; and the v, in the covers' order, such
+    that [u, v] has no dominant chain.  One fold: v's value is its floors
+    and whether [u, v] has a dominant chain.
 
     T is the union of the chains' supports, each the Minkowski sum of its
     label simplices.  A linear form's minimum over a union is the least of
@@ -295,19 +276,17 @@ def _dominance_fold(u: Perm, sets: tuple[int, ...]) -> tuple[dict, dict, list[Pe
     those top bits, and there z takes t's value.
 
     So a chain's count on I is z_C(I) for its support C, and floors[x] is
-    the least count of any chain u -> x.  [u, u] has a dominant chain, and
-    [u, v] has one exactly when some cover x < v has one and floors[x] +
-    step(label) == floors[v]: if a chain u -> x -> v counts c_x + step =
-    floors[v], then c_x <= floors[x], hence c_x = floors[x], so every prefix
-    of a dominant chain is dominant and its last cover is tight; conversely a
-    dominant chain to x plus a tight cover is dominant.  No field carries
-    (`_steps`), so int equality is field-wise equality.  Which sets are
-    folded does not change the verdict: counts equal to z_T on the segments
-    mean C = T (module docstring), hence z_C = z_T on every subset, and
-    counts equal to z_T on every subset are so on the segments.  Both pick
-    out the dominant chains.
+    the least count of any chain u -> x.  A chain is dominant exactly when
+    its counts equal floors on every subset: z_C = z_T makes C = T (module
+    docstring).  [u, u] has a dominant chain, and [u, v] has one exactly
+    when some cover x < v has one and floors[x] + step(label) == floors[v]:
+    if a chain u -> x -> v counts c_x + step = floors[v], then c_x <=
+    floors[x], hence c_x = floors[x], so every prefix of a dominant chain is
+    dominant and its last cover is tight; conversely a dominant chain to x
+    plus a tight cover is dominant.  No field carries (`_steps`), so int
+    equality is field-wise equality.
     """
-    steps, width, high = _steps(len(u), sets)
+    steps, width, high = _steps(len(u))
     w = longest_element(len(u))
     covers = bruhat.interval_covers(u, w)
 
@@ -353,16 +332,15 @@ def _floors_base_size(n: int, floors: int) -> int:
     counted once per process.  The key holds the rank, since the packing
     depends on it and a process may sweep several ranks; the bound is
     `bruhat._covers`'s."""
-    d = n - 1
-    unpack = _unpacker(1 << d, _steps(n, tuple(range(1 << d)))[1])
-    return _base_size(unpack(floors), d)
+    unpack = _unpacker(1 << n - 1, _steps(n)[1])
+    return _base_size(unpack(floors), n - 1)
 
 
 def _unit_ps_mconvex(n: int, key: str) -> dict:
     """Is the support T of [u, v] M-convex, for every v above u?
 
-    One dominance fold over every coordinate subset gives each v its z_T
-    and its verdict.  Only the v with no dominant chain are counted (module
+    One dominance fold gives each v its z_T on every subset and its
+    verdict.  Only the v with no dominant chain are counted (module
     docstring): the key-set fold runs over their down-closure, which is
     empty when every v is dominant.  Of the 2,053 pairs a rank-5 sweep runs,
     42 are counted, with 26 distinct floor vectors; of its 53,527 rank-6
@@ -370,7 +348,7 @@ def _unit_ps_mconvex(n: int, key: str) -> dict:
     of P(z_T) comes from a per-process memo (`_floors_base_size`).
     """
     u = parse_perm(key)
-    covers, floors, pending = _dominance_fold(u, tuple(range(1 << n - 1)))
+    covers, floors, pending = _dominance_fold(u)
     closure = set(pending)
     for v in reversed(covers):
         if v in closure:
@@ -382,7 +360,7 @@ def _unit_ps_mconvex(n: int, key: str) -> dict:
 
 
 def _unit_scnp_pattern(n: int, key: str) -> dict:
-    covers, _, fails = _dominance_fold(parse_perm(key), _segments(n))
+    covers, _, fails = _dominance_fold(parse_perm(key))
     return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
 
 

@@ -107,8 +107,6 @@ def build_diagram(w: Perm) -> StaircaseDiagram:
     """
     w = validate(w)
     n = len(w)
-    if n < 2:
-        raise ValueError("staircase needs rank >= 2")
     inv = inversions(w)
     fill = tuple(
         tuple(1 if (i, n + 1 - j) in inv else 0 for j in range(1, n - i + 1))
@@ -187,8 +185,6 @@ def tiling_vertex_list(w: Perm) -> list[tuple[RectTiling, tuple[int, ...]]]:
     """
     w = validate(w)
     n = len(w)
-    if n < 2:
-        raise ValueError("staircase needs rank >= 2")
     filled = sum(_cell_bit(n, a, n + 1 - b) for a, b in inversions(w))
     return [
         (t, tuple((filled & rect).bit_count() for rect in rects))

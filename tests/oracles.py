@@ -26,7 +26,7 @@ from dualschubert.perm import (
 )
 from dualschubert.poly import _count_table, _unpacker
 from dualschubert.polytope import _base_points, _is_supermodular
-from dualschubert.scnp import UPPER_PATTERN, _segments, _steps
+from dualschubert.scnp import UPPER_PATTERN, _steps
 
 
 def inversion_count(w):
@@ -344,14 +344,14 @@ def floor_path(covers, u, v, floors):
     """Labels, from u up, of a dominant chain u -> v, or None: a DFS down from v.
 
     `covers` is interval_covers(u, w0) and `floors` maps each x in it to z_T
-    of [u, x] on the segments (`scnp._dominance_fold`).  A partial chain
+    of [u, x] on every subset (`scnp._dominance_fold`).  A partial chain
     x -> v with counts `top` is cut when seen before, or when top +
-    floors[x] exceeds floors[v] on a segment: floors[x] is the least count
+    floors[x] exceeds floors[v] on a subset: floors[x] is the least count
     of any chain from u to x.  At u, top is floors[v].  Each field of
     top + floors[x] counts the labels of one chain u -> v, so the packed cut
     is exact (`scnp._steps`).
     """
-    steps, _, high = _steps(len(u), _segments(len(u)))
+    steps, _, high = _steps(len(u))
     cap, seen = floors[v] | high, set()
 
     def dfs(x, top):

@@ -132,6 +132,14 @@ def test_tilings_text_json_render(capsys):
     assert out.count("vertex") == 5
 
 
+@pytest.mark.parametrize("form", [[], ["--json"], ["--render"]])
+def test_tilings_of_rank_one_exit_2(capsys, form):
+    rc, out, err = run(capsys, "tilings", "1", *form)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: staircase needs rank >= 2, got 1\n"
+
+
 def test_greedy_text_and_json(capsys):
     rc, out, _ = run(capsys, "greedy", "123", "321")
     assert rc == 0
@@ -236,6 +244,23 @@ def test_check_scnp_negative_exit_code(capsys):
     assert rc == 1
     data = json.loads(out)
     assert data["holds"] is False and data["witness"] is None
+
+
+def test_check_scnp_trivial_interval_names_its_chain(capsys):
+    # u == w: the dominant chain has no cover, and both forms name it
+    rc, out, _ = run(capsys, "check-scnp", "213", "213")
+    assert rc == 0
+    assert out.splitlines() == [
+        "single-chain property: true",
+        "dominant chain: 213",
+        "chains examined: 1",
+    ]
+    rc, out, _ = run(capsys, "check-scnp", "213", "213", "--json")
+    assert rc == 0
+    assert json.loads(out) == {
+        "u": "213", "w": "213", "holds": True,
+        "witness": {"nodes": ["213"], "labels": []}, "chains_examined": 1,
+    }
 
 
 def test_verify_summary_and_exit(capsys):

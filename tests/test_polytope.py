@@ -364,8 +364,8 @@ def test_certificate_matches_exchange_loop_random():
 
 def test_base_size_counts_every_point_on_rank5_floors():
     subsets = tuple(range(1 << 4))
-    unpack = _unpacker(len(subsets), scnp._steps(5, subsets)[1])
-    floors = {z for u in all_perms(5) for z in scnp._dominance_fold(u, subsets)[1].values()}
+    unpack = _unpacker(len(subsets), scnp._steps(5)[1])
+    floors = {z for u in all_perms(5) for z in scnp._dominance_fold(u)[1].values()}
     assert len(floors) == 387  # distinct among the 3,781 rank-5 pairs
     for z in map(unpack, floors):
         assert polytope._base_size(z, 4) == len(list(polytope._base_points(z, 4))) > 0

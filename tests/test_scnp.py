@@ -42,6 +42,7 @@ from dualschubert import bruhat, scnp
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
 from dualschubert.perm import _complement
 from dualschubert.poly import _segment_terms, _unpacker
+from dualschubert.polytope import _subset_floors
 from oracles import (
     add_segment,
     dominant_chain_by_sets,
@@ -118,13 +119,56 @@ def test_is_scnp_negative_fixture():
 
 
 def test_count_criterion_matches_chain_supports_s4():
-    steps = scnp._steps(4, scnp._segments(4))[0]
+    steps = scnp._steps(4)[0]
     for u, w in comparable_pairs(4):
         target = ps_support(u, w)
-        floors = scnp._segment_floors(target, 4)
+        floors = packed_floors(target, 4)
         for chain in enumerate_chains(u, w):
             dominant = chain_weight(chain).support() == target
             assert dominant == (sum(steps[lab] for lab in chain.labels) == floors)
+
+
+def packed_floors(target, n):
+    """z_T of the point set target on every subset, packed as in `scnp._steps`."""
+    width = scnp._steps(n)[1]
+    return sum(f << width * m for m, f in enumerate(_subset_floors(target, n - 1)))
+
+
+class CountingSteps(dict):
+    """A label -> step dict that counts its reads: the search reads one
+    entry per child it tries."""
+
+    reads = 0
+
+    def __getitem__(self, lab):
+        CountingSteps.reads += 1
+        return super().__getitem__(lab)
+
+
+@pytest.fixture
+def step_reads(monkeypatch):
+    """Make `scnp._steps` hand out counting dicts; returns the read counter."""
+    real = scnp._steps
+
+    def counting(n):
+        steps, width, high = real(n)
+        return CountingSteps(steps), width, high
+
+    monkeypatch.setattr(scnp, "_steps", counting)
+    return CountingSteps
+
+
+def test_search_cut_reads_a_fixed_number_of_steps(step_reads):
+    # without the cut on counts above z_T: 56, 681, 1,194 and 142,802 reads
+    reads = []
+    for u, w in [("1324", "4231"), ("13245", "45312"), ("21435", "54321")]:
+        step_reads.reads = 0
+        is_scnp(parse_perm(u), parse_perm(w))
+        reads.append(step_reads.reads)
+    step_reads.reads = 0
+    for u, w in comparable_pairs(5):
+        is_scnp(u, w)
+    assert reads + [step_reads.reads] == [34, 18, 176, 39522]
 
 
 def floor_chain(u, labels):
@@ -143,11 +187,11 @@ def reference_unit(table, holds):
 def test_count_route_matches_set_oracle(n):
     for u in all_perms(n):
         table = support_table_above(u)
-        covers, floors, pending = scnp._dominance_fold(u, scnp._segments(n))
+        covers, floors, pending = scnp._dominance_fold(u)
         assert floors.keys() == table.keys()
         holds = {}
         for w, target in table.items():
-            assert floors[w] == scnp._segment_floors(target, n)
+            assert floors[w] == packed_floors(target, n)
             verdict = scnp._scnp_decide(u, w, target)
             holds[w] = verdict.holds
             assert verdict.holds == (dominant_chain_by_sets(u, w, target) is not None)
@@ -174,7 +218,7 @@ def test_floor_unit_matches_reference_rank6(key):
 def test_count_route_matches_set_oracle_rank6_sample():
     u = (1, 3, 2, 4, 5, 6)
     table = support_table_above(u)
-    covers, floors, _ = scnp._dominance_fold(u, scnp._segments(6))
+    covers, floors, _ = scnp._dominance_fold(u)
 
     def greedy_support(w):
         support = frozenset({(0,) * 5})
@@ -208,7 +252,7 @@ class CountingCovers(dict):
 def test_floor_path_expands_a_fixed_number_of_states():
     # without floors[x] in the cut the same verdicts take 1,608 expansions
     u = (1, 3, 2, 4, 5)
-    covers, floors, _ = scnp._dominance_fold(u, scnp._segments(5))
+    covers, floors, _ = scnp._dominance_fold(u)
     counting = CountingCovers(covers)
     fails = sum(floor_path(counting, u, v, floors) is None for v in covers)
     assert (len(covers), fails, counting.reads) == (108, 9, 437)
@@ -216,33 +260,27 @@ def test_floor_path_expands_a_fixed_number_of_states():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_dominance_fold_matches_floor_path(n):
-    # the segment and subset packings give the same verdicts
     for u in all_perms(n):
-        covers, floors, pending = scnp._dominance_fold(u, scnp._segments(n))
+        covers, floors, pending = scnp._dominance_fold(u)
         assert pending == [v for v in covers if floor_path(covers, u, v, floors) is None]
-        subset_covers, _, subset_pending = scnp._dominance_fold(u, subsets(n))
-        assert subset_covers == covers
-        assert subset_pending == pending
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_dominance_fold_leaves_a_tight_witness(n):
-    # from each dominant v, tight covers from dominant x lead back to u, in
-    # the segment packing and in the subset packing
+    # from each dominant v, tight covers from dominant x lead back to u
+    steps = scnp._steps(n)[0]
     for u in all_perms(n):
         table = support_table_above(u)
-        for sets in (scnp._segments(n), subsets(n)):
-            steps = scnp._steps(n, sets)[0]
-            covers, floors, pending = scnp._dominance_fold(u, sets)
-            dominant = covers.keys() - set(pending)
-            for v in dominant:
-                x, labels = v, ()
-                while x != u:
-                    x, lab = next((x2, lab) for x2, lab in covers[x] if x2 in dominant
-                                  and floors[x2] + steps[lab] == floors[x])
-                    labels = (lab,) + labels
-                assert sum(steps[lab] for lab in labels) == floors[v]
-                assert chain_weight(floor_chain(u, labels)).support() == table[v]
+        covers, floors, pending = scnp._dominance_fold(u)
+        dominant = covers.keys() - set(pending)
+        for v in dominant:
+            x, labels = v, ()
+            while x != u:
+                x, lab = next((x2, lab) for x2, lab in covers[x] if x2 in dominant
+                              and floors[x2] + steps[lab] == floors[x])
+                labels = (lab,) + labels
+            assert sum(steps[lab] for lab in labels) == floors[v]
+            assert chain_weight(floor_chain(u, labels)).support() == table[v]
 
 
 def subsets(n):
@@ -250,17 +288,16 @@ def subsets(n):
     return tuple(range(1 << n - 1))
 
 
-def unpacked(z, n, sets):
-    """Packed floors on the coordinate sets, read back as a tuple."""
-    return _unpacker(len(sets), scnp._steps(n, sets)[1])(z)
+def unpacked(z, n):
+    """Packed floors on the subsets, read back as a tuple."""
+    return _unpacker(1 << n - 1, scnp._steps(n)[1])(z)
 
 
 def assert_floors_match_tuple_oracle(u):
     n = len(u)
-    for sets in (scnp._segments(n), subsets(n)):
-        _, floors, _ = scnp._dominance_fold(u, sets)
-        oracle = floors_by_tuples(u, sets)
-        assert {v: unpacked(z, n, sets) for v, z in floors.items()} == oracle
+    _, floors, _ = scnp._dominance_fold(u)
+    oracle = floors_by_tuples(u, subsets(n))
+    assert {v: unpacked(z, n) for v, z in floors.items()} == oracle
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -285,11 +322,11 @@ def certificate_record(u):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_subset_floor_unit_matches_certificate(n):
     for u in all_perms(n):
-        covers, floors, _ = scnp._dominance_fold(u, subsets(n))
+        covers, floors, _ = scnp._dominance_fold(u)
         table = support_table_above(u)
         assert covers.keys() == floors.keys() == table.keys()
         for v, supp in table.items():
-            z = unpacked(floors[v], n, subsets(n))
+            z = unpacked(floors[v], n)
             assert list(z) == m_convex_certificate(supp)._masks()
         assert scnp._run_unit("ps-mconvex", n, format_perm(u)) == certificate_record(u)
 
@@ -297,9 +334,9 @@ def test_subset_floor_unit_matches_certificate(n):
 @pytest.mark.parametrize("key", ["123456", "214365", "345612"])
 def test_subset_floor_unit_matches_certificate_rank6(key):
     u = parse_perm(key)
-    _, floors, _ = scnp._dominance_fold(u, subsets(6))
+    _, floors, _ = scnp._dominance_fold(u)
     for v, supp in support_table_above(u).items():
-        z = unpacked(floors[v], 6, subsets(6))
+        z = unpacked(floors[v], 6)
         assert list(z) == m_convex_certificate(supp)._masks()
     assert scnp._run_unit("ps-mconvex", 6, key) == certificate_record(u)
 
@@ -310,8 +347,8 @@ def every_pair_counted(monkeypatch):
     one through the memo, as it does for a pair with no dominant chain."""
     dominance_fold = scnp._dominance_fold
 
-    def none_dominant(u, sets):
-        covers, floors, _ = dominance_fold(u, sets)
+    def none_dominant(u):
+        covers, floors, _ = dominance_fold(u)
         return covers, floors, list(covers)
 
     monkeypatch.setattr(scnp, "_dominance_fold", none_dominant)
@@ -329,7 +366,7 @@ def test_ps_mconvex_unit_counts_only_non_dominant_pairs(n, keys):
         scnp._floors_base_size.cache_clear()
         assert scnp._run_unit("ps-mconvex", n, key) == record_by_counts(n, key)
         memo = scnp._floors_base_size.cache_info()
-        pending = scnp._dominance_fold(parse_perm(key), scnp._segments(n))[2]
+        pending = scnp._dominance_fold(parse_perm(key))[2]
         assert memo.hits + memo.misses == len(pending)
     scnp._floors_base_size.cache_clear()
 
