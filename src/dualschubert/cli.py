@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "exhaustive rank sweeps")
     p.add_argument("--mode", required=True, choices=list(scnp.SWEEPS))
-    p.add_argument("--n", required=True, type=int, help="rank to sweep")
+    p.add_argument("--n", required=True, type=int, help="rank to sweep, 1 to 9")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds; exceeding it yields a"

@@ -17,12 +17,10 @@ search no chain: one fold, `_dominance_fold`, gives each v its floors and
 marks [u, v] dominant when some cover x < v is dominant and tight:
 floors[x] + step == floors[v].
 
-Supports come from the key-set fold `poly._key_table`, one packed int per
-monomial: the support of [u, v] is the union, over the last covers of its
-chains, of the support below shifted by the cover's segment, with no
-coefficients carried.  Tests pin this against a set-union dynamic program,
-against the keys of the coefficient fold and against the rational
-coefficients.
+Supports come from `poly`'s key-set fold, `_key_table`, which tests pin
+against a set-union dynamic program and both coefficient folds.  It serves
+`ps_support` (hence `is_scnp`), `support_table_above` and the ps-mconvex
+unit, which reads only sizes; no paper-theorems process builds a table.
 
 Label counts and floors are packed ints, one field per subset of 1..n-1,
 2^(n-1) of them.  `_steps` holds each label's packed 0/1 counts and says why
@@ -252,9 +250,15 @@ def _scnp_search(u: Perm, w: Perm, z: int) -> ScnpVerdict:
     return ScnpVerdict(chain is not None, chain, 1 + (chain is not None))
 
 
+def _pack(z: list[int], n: int) -> int:
+    """z on the subsets of 1..n-1, by bitmask, packed as in `_steps`."""
+    width = _steps(n)[1]
+    return sum(f << width * m for m, f in enumerate(z))
+
+
 def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
-    steps, width, _ = _steps(len(u))
-    z = sum(f << width * m for m, f in enumerate(_subset_floors(target, len(u) - 1)))
+    steps = _steps(len(u))[0]
+    z = _pack(_subset_floors(target, len(u) - 1), len(u))
     g = greedy_chain(u, w)
     if sum(steps[lab] for lab in g.labels) == z:
         return ScnpVerdict(True, g, 1)
@@ -319,10 +323,10 @@ def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
 
 
 @lru_cache(maxsize=2)
-def _supports_cached(n: int) -> dict[Perm, set]:
-    """The support of every rank-n dual Schubert polynomial, as packed
-    monomials; a paper-theorems unit decodes only its own."""
-    return _key_table(identity(n), longest_element(n))
+def _theorem_floors(n: int) -> tuple[dict, frozenset]:
+    """`_dominance_fold(identity(n))` without its covers, for paper-theorems."""
+    _, floors, pending = _dominance_fold(identity(n))
+    return floors, frozenset(pending)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -368,22 +372,23 @@ def _unit_theorems(n: int, key: str) -> dict:
     """The paper's claims for one w, each checked on its own route.
 
     The global weight is the packed product of w's inversion segments
-    (`poly._segment_terms`): its keys must be the support that the key-set
-    fold gave w.  The greedy chain from the identity to w must pass
-    `is_greedy`, and its packed weight must equal the global one.  The
-    support, decoded once, must pass the M-convexity certificate and be SNP
-    (by the simplex when the certificate fails), and be every integer point
-    of the inversion polytope.  Tilings, the coefficient-1 keys of the
-    weight, decoded alone, and the hull must give the same vertices.
+    (`poly._segment_terms`): S, its keys, must be the support T of [id, w].
+    On `_theorem_floors` that is exact: no dominant chain is a mismatch, as
+    the paper's greedy chain carries T; with one, T is every lattice point
+    of P(z_T), and a passing M-convexity certificate makes S every lattice
+    point of P(z_S), so S = T iff z_S = z_T; a failing one is recorded.  The
+    greedy chain from the identity to w must pass `is_greedy` and carry the
+    global weight; S must be SNP and every integer point of the inversion
+    polytope; tilings, coefficient-1 keys and the hull must agree on vertices.
     """
     w = parse_perm(key)
     fails: list[dict] = []
     gw = _segment_terms(sorted(inversions(w)), n - 1)
-    keys = _supports_cached(n)[w]
     unpack = _unpacker(n - 1)
-    supp = frozenset(map(unpack, keys))
-    same = keys == gw.keys()
-    if not same:
+    supp = frozenset(map(unpack, gw))
+    cert = m_convex_certificate(supp)  # also proves SNP and gives the vertices
+    floors, pending = _theorem_floors(n)
+    if w in pending or cert is not None and _pack(cert._masks(), n) != floors[w]:
         fails.append({"kind": "support-mismatch", "w": key})
     e = identity(n)
     g = greedy_chain(e, w)
@@ -391,9 +396,6 @@ def _unit_theorems(n: int, key: str) -> dict:
         fails.append({"kind": "greedy-chain-not-greedy", "w": key})
     if _segment_terms(g.labels, n - 1) != gw:
         fails.append({"kind": "greedy-weight-mismatch", "w": key})
-    # one certificate proves M-convexity and SNP and gives the hull vertices;
-    # without it the support is not M-convex, and the simplex decides SNP
-    cert = m_convex_certificate(supp)
     if cert is None:
         fails.append({"kind": "support-not-m-convex", "w": key})
     if cert is None and not _snp_by_hull(supp):
@@ -402,10 +404,7 @@ def _unit_theorems(n: int, key: str) -> dict:
         fails.append({"kind": "polytope-points-mismatch", "w": key})
     vt = vertices_via_tilings(w)
     vc = frozenset(unpack(m) for m, c in gw.items() if c == 1)
-    if cert is not None and same:
-        vh = cert.vertices()
-    else:
-        vh = hull_vertices(supp if same else frozenset(map(unpack, gw)))
+    vh = cert.vertices() if cert is not None else hull_vertices(supp)
     if not (vt == vc == vh):
         fails.append({"kind": "vertex-method-mismatch", "w": key})
     return {"pairs": 1, "fails": fails}
@@ -592,6 +591,8 @@ def _sweep(
     naming its unit and exit code.  Leaving the loop, on budget or on error,
     terminates the worker processes.
     """
+    if n > 9:  # listing S_10 alone took 39 s and 1.7 GB, before any budget
+        raise ValueError(f"rank must be <= 9, got {n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if budget is not None and not math.isfinite(budget):

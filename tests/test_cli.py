@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
@@ -451,6 +452,19 @@ def test_verify_rejects_non_finite_budget(capsys, budget):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: budget must be a finite number of seconds")
+
+
+@pytest.mark.parametrize("n", ["10", "11"])
+def test_verify_rejects_ranks_above_nine_at_once(capsys, n):
+    # before any budget, listing S_10 alone took 39 s and 1.7 GB
+    started = time.monotonic()
+    rc, out, err = run(
+        capsys, "verify", "--mode", "scnp-pattern", "--n", n, "--budget", "0",
+    )
+    assert time.monotonic() - started < 1
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: rank must be <= 9, got {n}\n"
 
 
 def test_verify_negative_budget_stops_at_once(capsys):

@@ -588,6 +588,25 @@ def test_verify_theorems_small():
     assert r4.checked_pairs == 24
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_theorem_floors_match_the_support_table(n):
+    floors, pending = scnp._theorem_floors(n)
+    supports = support_table_above(identity(n))
+    assert floors.keys() == supports.keys()
+    for w, supp in supports.items():
+        assert floors[w] == packed_floors(supp, n)
+    assert pending == frozenset()
+
+
+def test_verify_theorems_builds_no_support_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the paper-theorems unit built a support table")
+
+    monkeypatch.setattr(scnp, "_key_table", refuse)
+    scnp._theorem_floors.cache_clear()  # so that the rank-4 fold runs here
+    assert verify_theorems(4).ok()
+
+
 # Each fault makes one route of the paper-theorems unit wrong about w = 231
 # alone; the sweep must report exactly the records that route feeds.
 W = (2, 3, 1)
@@ -600,10 +619,15 @@ def wrong_at_w(monkeypatch, name, wrong, about=lambda *args: args[-1]):
     )
 
 
-def fault_supports(monkeypatch):
-    table = dict(scnp._supports_cached(3))
-    table[W] = table[(3, 1, 2)]
-    monkeypatch.setattr(scnp, "_supports_cached", lambda n: table)
+def fault_floors(monkeypatch):
+    floors, pending = scnp._theorem_floors(3)
+    floors = {**floors, W: floors[W] + 1}
+    monkeypatch.setattr(scnp, "_theorem_floors", lambda n: (floors, pending))
+
+
+def fault_dominance(monkeypatch):
+    floors, pending = scnp._theorem_floors(3)
+    monkeypatch.setattr(scnp, "_theorem_floors", lambda n: (floors, pending | {W}))
 
 
 def fault_greedy(monkeypatch):
@@ -638,7 +662,8 @@ def fault_tilings(monkeypatch):
 
 
 THEOREM_FAULTS = [
-    (fault_supports, ["support-mismatch", "polytope-points-mismatch"]),
+    (fault_floors, ["support-mismatch"]),
+    (fault_dominance, ["support-mismatch"]),
     (fault_greedy, ["greedy-chain-not-greedy"]),
     (fault_weight, ["greedy-weight-mismatch"]),
     (fault_certificate, ["support-not-m-convex"]),
