@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -31,6 +30,7 @@ from .perm import (
     Perm,
     PositionPair,
     _complement,
+    _Value,
     apply_t,
     bruhat_leq,
     format_perm,
@@ -41,19 +41,18 @@ from .perm import (
 )
 
 
-@dataclass(frozen=True)
-class SaturatedChain:
+class SaturatedChain(_Value):
     """A cover-saturated chain, stored as its nodes plus step labels."""
 
-    nodes: tuple[Perm, ...]
-    labels: tuple[PositionPair, ...]
+    __slots__ = ("nodes", "labels")
 
-    def __post_init__(self) -> None:
-        if len(self.nodes) != len(self.labels) + 1:
+    def __init__(self, nodes: tuple[Perm, ...], labels: tuple[PositionPair, ...]) -> None:
+        super().__init__(nodes, labels)
+        if len(nodes) != len(labels) + 1:
             raise ValueError("chain needs exactly one label per step")
-        validate(self.nodes[0])
-        for i, (a, b) in enumerate(self.labels):
-            prev, cur = self.nodes[i], self.nodes[i + 1]
+        validate(nodes[0])
+        for i, (a, b) in enumerate(labels):
+            prev, cur = nodes[i], nodes[i + 1]
             if apply_t(prev, a, b) != cur or length(cur) != length(prev) + 1:
                 raise ValueError(
                     f"step {i + 1} is not the cover"

@@ -8,6 +8,9 @@ JSON schema; re-serializing that JSON reproduces the bytes exactly.
 
 Exit codes: 0 success / property holds; 1 property fails or a sweep found a
 counterexample; 2 usage or malformed input; 3 internal error.
+
+The parser needs only `scnp.SWEEPS`, so importing this module loads `perm`,
+`bruhat` and `scnp`; each command imports the rest of what it runs.
 """
 
 from __future__ import annotations
@@ -22,29 +25,7 @@ from pathlib import Path
 from . import bruhat, scnp
 from .bruhat import enumerate_chains, greedy_chain
 from .perm import Perm, format_perm, identity, length, parse_perm
-from .poly import (
-    dual_schubert,
-    global_weight,
-    grevlex_key,
-    postnikov_stanley_dp,
-)
-from .polytope import (
-    _subset_order,
-    gp_from_inversions,
-    hull_vertices,
-    is_snp,
-    m_convex_failure,
-    newton_vertices_coeff1,
-)
 from .scnp import is_scnp, ps_support
-from .tiling import (
-    build_diagram,
-    render_diagram,
-    render_tiling,
-    tiling_vertex_list,
-    tilings_json_dict,
-    vertices_via_tilings,
-)
 
 
 def _endpoints(*perms: str) -> tuple[Perm, Perm]:
@@ -59,6 +40,8 @@ def _endpoints(*perms: str) -> tuple[Perm, Perm]:
 
 
 def _print_points(points, nvars: int, as_json: bool) -> None:
+    from .poly import grevlex_key
+
     ordered = sorted(points, key=grevlex_key)
     if as_json:
         print(json.dumps({"nvars": nvars, "points": [list(p) for p in ordered]}))
@@ -71,6 +54,8 @@ def _print_points(points, nvars: int, as_json: bool) -> None:
 
 
 def _cmd_dual_schubert(args) -> int:
+    from .poly import dual_schubert
+
     w = parse_perm(args.w)
     f = dual_schubert(w)
     print(json.dumps(f.to_json_dict()) if args.json else str(f))
@@ -78,6 +63,8 @@ def _cmd_dual_schubert(args) -> int:
 
 
 def _cmd_ps(args) -> int:
+    from .poly import postnikov_stanley_dp
+
     u, w = _endpoints(args.u, args.w)
     f = postnikov_stanley_dp(u, w)
     print(json.dumps(f.to_json_dict()) if args.json else str(f))
@@ -85,6 +72,8 @@ def _cmd_ps(args) -> int:
 
 
 def _cmd_gw(args) -> int:
+    from .poly import global_weight
+
     w = parse_perm(args.w)
     f = global_weight(w)
     print(json.dumps(f.to_json_dict()) if args.json else str(f))
@@ -101,6 +90,8 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_newton(args) -> int:
+    from .polytope import _subset_order, gp_from_inversions
+
     w = parse_perm(args.w)
     gp = gp_from_inversions(w)
     if args.json:
@@ -122,6 +113,10 @@ def _cmd_newton(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
+    from .poly import global_weight
+    from .polytope import hull_vertices, newton_vertices_coeff1
+    from .tiling import vertices_via_tilings
+
     w = parse_perm(args.w)
     if args.method == "tilings":
         verts = vertices_via_tilings(w)
@@ -147,6 +142,14 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_tilings(args) -> int:
+    from .tiling import (
+        build_diagram,
+        render_diagram,
+        render_tiling,
+        tiling_vertex_list,
+        tilings_json_dict,
+    )
+
     w = parse_perm(args.w)
     if args.json:
         print(json.dumps(tilings_json_dict(w)))
@@ -222,6 +225,9 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_check_snp(args) -> int:
+    from .poly import postnikov_stanley_dp
+    from .polytope import is_snp
+
     u, w = _endpoints(*args.perm)
     f = postnikov_stanley_dp(u, w)
     verdict = is_snp(f)
@@ -237,6 +243,8 @@ def _cmd_check_snp(args) -> int:
 
 
 def _cmd_check_mconvex(args) -> int:
+    from .polytope import m_convex_failure
+
     u, w = _endpoints(*args.perm)
     failure = m_convex_failure(ps_support(u, w))
     if args.json:

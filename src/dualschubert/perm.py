@@ -244,3 +244,41 @@ def all_perms(n: int) -> Iterator[Perm]:
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     return iter(permutations(range(1, n + 1)))
+
+
+class _Value:
+    """Base of the package's value classes, the chains, verdicts, reports and
+    tilings: their fields are their `__slots__`, set once by `__init__`.
+    They compare, hash, print and pickle by those fields and refuse
+    assignment, as frozen dataclasses do, without importing `dataclasses`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

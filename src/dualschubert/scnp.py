@@ -64,6 +64,16 @@ mode each, through one sweep body.  It supports budget-bounded partial runs
 with resumable checkpoints and can fan units out over worker processes.
 Results are merged in a fixed order, so reports are deterministic
 regardless of worker scheduling.
+
+This module imports `poly`, `polytope` and `tiling` only inside the
+functions that use them, so a command loads only what it runs.  The
+scnp-pattern unit needs `perm`, `bruhat` and this module alone; the
+ps-mconvex unit adds `poly` (the key-set fold) and `polytope` (point
+counts), and the paper-theorems unit `poly`, `polytope` and `tiling`;
+`ps_support`, `support_table_above` and `is_scnp` load `poly`, and
+`is_scnp` `polytope` too.  `SWEEPS` names each mode's modules, and `_sweep`
+imports them before it starts any worker: a worker that imported them
+itself would compile them during its first unit.
 """
 
 from __future__ import annotations
@@ -73,10 +83,9 @@ import math
 import os
 import sys
 import time
-import traceback
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from importlib import import_module
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -87,6 +96,7 @@ from .bruhat import SaturatedChain, greedy_chain, is_greedy
 from .perm import (
     Perm,
     _complement,
+    _Value,
     all_perms,
     bruhat_leq,
     contains_pattern,
@@ -98,16 +108,6 @@ from .perm import (
     parse_perm,
     validate,
 )
-from .poly import _key_table, _segment_terms, _unpacker
-from .polytope import (
-    _base_size,
-    _snp_by_hull,
-    _subset_floors,
-    gp_from_inversions,
-    hull_vertices,
-    m_convex_certificate,
-)
-from .tiling import vertices_via_tilings
 
 # Pattern whose containment in the lower (resp. upper) endpoint is expected
 # to predict the existence of a partner making the single-chain property fail.
@@ -115,27 +115,43 @@ LOWER_PATTERN: Perm = (1, 3, 2, 4)
 UPPER_PATTERN: Perm = (4, 2, 3, 1)
 
 
-@dataclass(frozen=True)
-class ScnpVerdict:
+class ScnpVerdict(_Value):
     """Outcome of a single-chain decision: the witness is a dominant chain."""
 
-    holds: bool
-    witness: SaturatedChain | None
-    chains_examined: int  # the greedy chain, plus the chain a search found
+    __slots__ = ("holds", "witness", "chains_examined")
+
+    def __init__(
+        self,
+        holds: bool,
+        witness: SaturatedChain | None,
+        chains_examined: int,  # the greedy chain, plus the chain a search found
+    ) -> None:
+        super().__init__(holds, witness, chains_examined)
 
 
-@dataclass
-class ConjectureReport:
-    """Outcome of an exhaustive sweep; empty counterexamples means it held."""
+class ConjectureReport(_Value):
+    """Outcome of an exhaustive sweep; empty counterexamples means it held.
+    Unlike the other value classes it may be assigned to, and is unhashable."""
 
-    mode: str
-    n: int
-    checked_pairs: int
-    counterexamples: list[dict]
-    elapsed: float
-    complete: bool = True
-    resume_token: dict | None = None
-    scnp_failures: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("mode", "n", "checked_pairs", "counterexamples", "elapsed",
+                 "complete", "resume_token", "scnp_failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        mode: str,
+        n: int,
+        checked_pairs: int,
+        counterexamples: list[dict],
+        elapsed: float,
+        complete: bool = True,
+        resume_token: dict | None = None,
+        scnp_failures: list[tuple[str, str]] | None = None,
+    ) -> None:
+        super().__init__(mode, n, checked_pairs, counterexamples, elapsed, complete,
+                         resume_token, [] if scnp_failures is None else scnp_failures)
 
     def ok(self) -> bool:
         return self.complete and not self.counterexamples
@@ -177,6 +193,8 @@ class ConjectureReport:
 
 def ps_support(u: Perm, w: Perm) -> frozenset:
     """Support of the interval weight polynomial of [u, w], by the key-set fold."""
+    from .poly import _key_table, _unpacker
+
     u, w = validate(u), validate(w)
     if not bruhat_leq(u, w):
         raise ValueError(
@@ -191,6 +209,8 @@ def support_table_above(u: Perm) -> dict[Perm, frozenset]:
     Each packed monomial is read back once, and its tuple is shared by every
     support that holds it.
     """
+    from .poly import _key_table, _unpacker
+
     u = validate(u)
     unpack = lru_cache(maxsize=None)(_unpacker(len(u) - 1))
     table = _key_table(u, longest_element(len(u)))
@@ -257,6 +277,8 @@ def _pack(z: list[int], n: int) -> int:
 
 
 def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
+    from .polytope import _subset_floors
+
     steps = _steps(len(u))[0]
     z = _pack(_subset_floors(target, len(u) - 1), len(u))
     g = greedy_chain(u, w)
@@ -336,6 +358,9 @@ def _floors_base_size(n: int, floors: int) -> int:
     counted once per process.  The key holds the rank, since the packing
     depends on it and a process may sweep several ranks; the bound is
     `bruhat._covers`'s."""
+    from .poly import _unpacker
+    from .polytope import _base_size
+
     unpack = _unpacker(1 << n - 1, _steps(n)[1])
     return _base_size(unpack(floors), n - 1)
 
@@ -351,6 +376,8 @@ def _unit_ps_mconvex(n: int, key: str) -> dict:
     pairs, 2,896 with 837.  Vectors repeat across units, so the point count
     of P(z_T) comes from a per-process memo (`_floors_base_size`).
     """
+    from .poly import _key_table
+
     u = parse_perm(key)
     covers, floors, pending = _dominance_fold(u)
     closure = set(pending)
@@ -381,6 +408,15 @@ def _unit_theorems(n: int, key: str) -> dict:
     global weight; S must be SNP and every integer point of the inversion
     polytope; tilings, coefficient-1 keys and the hull must agree on vertices.
     """
+    from .poly import _segment_terms, _unpacker
+    from .polytope import (
+        _snp_by_hull,
+        gp_from_inversions,
+        hull_vertices,
+        m_convex_certificate,
+    )
+    from .tiling import vertices_via_tilings
+
     w = parse_perm(key)
     fails: list[dict] = []
     gw = _segment_terms(sorted(inversions(w)), n - 1)
@@ -445,16 +481,19 @@ def _merge_theorems(n: int, fails: dict[str, list]) -> tuple[list, list]:
     return [rec for recs in fails.values() for rec in recs], []
 
 
-# mode -> (unit, merge, mirrored).  One unit per permutation key of S_n:
-# unit(n, key) returns {"pairs": int, "fails": list}.  merge(n, fails) takes
-# every unit's fails in key order and returns the report's counterexamples
-# and scnp_failures.  A mirrored sweep's fails are permutation keys, and unit
-# rc(u)'s record is `_mirror` of unit u's.  paper-theorems is not mirrored:
-# its unit cross-checks independent routes for one w.
-SWEEPS: dict[str, tuple[Callable[[int, str], dict], Callable[[int, dict], tuple], bool]] = {
-    "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex, True),
-    "scnp-pattern": (_unit_scnp_pattern, _merge_scnp_pattern, True),
-    "paper-theorems": (_unit_theorems, _merge_theorems, False),
+# mode -> (unit, merge, modules, mirrored).  One unit per permutation key of
+# S_n: unit(n, key) returns {"pairs": int, "fails": list}.  merge(n, fails)
+# takes every unit's fails in key order and returns the report's
+# counterexamples and scnp_failures.  modules are those the unit imports
+# beyond this one's, loaded before the sweep forks.  A mirrored sweep's fails
+# are permutation keys, and unit rc(u)'s record is `_mirror` of unit u's.
+# paper-theorems is not mirrored: its unit cross-checks independent routes
+# for one w.
+SWEEPS: dict[str, tuple[Callable[[int, str], dict], Callable[[int, dict], tuple],
+                        tuple[str, ...], bool]] = {
+    "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex, ("poly", "polytope"), True),
+    "scnp-pattern": (_unit_scnp_pattern, _merge_scnp_pattern, (), True),
+    "paper-theorems": (_unit_theorems, _merge_theorems, ("poly", "polytope", "tiling"), False),
 }
 
 
@@ -554,6 +593,8 @@ def _serve(conn, mode: str, n: int) -> None:
             try:
                 conn.send((_run_unit(mode, n, key), None))
             except Exception as exc:  # the sweep raises it
+                import traceback  # only a failing unit needs it
+
                 conn.send((exc, traceback.format_exc()))
 
 
@@ -599,7 +640,7 @@ def _sweep(
         raise ValueError(f"budget must be a finite number of seconds, got {budget}")
     perms = list(all_perms(n))
     keys = [format_perm(p) for p in perms]
-    *_, mirrored = SWEEPS[mode]
+    *_, modules, mirrored = SWEEPS[mode]
     # unit u's partner: rc(u) in a mirrored sweep, else u itself
     images = list(map(_conjugate, perms)) if mirrored else perms
     partner = dict(zip(keys, map(format_perm, images)))
@@ -607,6 +648,8 @@ def _sweep(
     for key in [k for k in done if partner[k] not in done]:
         done[partner[key]] = _mirror(done[key])
     pending = [k for k, p, q in zip(keys, perms, images) if p <= q and k not in done]
+    for name in modules:  # here, so that no worker compiles them in its first unit
+        import_module(f".{name}", __package__)
     start = saved = time.monotonic()
     # each record is serialized once, and a write joins them: the file's
     # text is json.dumps of the token {mode, n, elapsed, done}

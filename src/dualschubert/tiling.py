@@ -30,30 +30,28 @@ every tiling of every w of ranks 2..6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .perm import Perm, PositionPair, format_perm, inversions, validate
+from .perm import Perm, PositionPair, _Value, format_perm, inversions, validate
 
 Rect = tuple[int, int, int, int]  # (top, left, bottom, right), all 1-based
 
 
-@dataclass(frozen=True)
-class StaircaseDiagram:
+class StaircaseDiagram(_Value):
     """Staircase of rank n with a 0/1 fill per cell."""
 
-    n: int
-    fill: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "fill")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"staircase needs rank >= 2, got {self.n}")
-        if len(self.fill) != self.n - 1 or any(
-            len(row) != self.n - i for i, row in enumerate(self.fill, start=1)
+    def __init__(self, n: int, fill: tuple[tuple[int, ...], ...]) -> None:
+        super().__init__(n, fill)
+        if n < 2:
+            raise ValueError(f"staircase needs rank >= 2, got {n}")
+        if len(fill) != n - 1 or any(
+            len(row) != n - i for i, row in enumerate(fill, start=1)
         ):
             raise ValueError("fill shape does not match the staircase")
-        if any(v not in (0, 1) for row in self.fill for v in row):
+        if any(v not in (0, 1) for row in fill for v in row):
             raise ValueError("fill values must be 0 or 1")
 
     def label(self, i: int, j: int) -> PositionPair:
@@ -66,21 +64,19 @@ class StaircaseDiagram:
         return sum(sum(row) for row in self.fill)
 
 
-@dataclass(frozen=True)
-class RectTiling:
+class RectTiling(_Value):
     """A corner-anchored rectangle tiling; rects[k-1] is anchored at corner k."""
 
-    n: int
-    rects: tuple[Rect, ...]
+    __slots__ = ("n", "rects")
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, rects: tuple[Rect, ...]) -> None:
+        super().__init__(n, rects)
         if n < 2:
             raise ValueError(f"staircase needs rank >= 2, got {n}")
-        if len(self.rects) != n - 1:
+        if len(rects) != n - 1:
             raise ValueError(f"need exactly {n - 1} rectangles")
         covered: set[tuple[int, int]] = set()
-        for k, (top, left, bottom, right) in enumerate(self.rects, start=1):
+        for k, (top, left, bottom, right) in enumerate(rects, start=1):
             if (bottom, right) != (k, n - k):
                 raise ValueError(
                     f"rectangle {k} must have bottom-right cell ({k}, {n - k})"

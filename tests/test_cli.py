@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -496,3 +501,76 @@ def test_unknown_flag_exits_via_argparse(capsys):
         main(["verify", "--mode", "nope", "--n", "3"])
     assert exc.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+# -- start-up: a command loads only the modules it runs ---------------------------------
+
+
+def fresh_interpreter(code: str) -> str:
+    """The last line `code` prints, run in a new interpreter on this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.splitlines()[-1]
+
+
+UNUSED_BY_SCNP_PATTERN = ["dualschubert.poly", "dualschubert.polytope", "dualschubert.tiling",
+                          "fractions", "dataclasses", "traceback"]
+
+
+def test_package_names_resolve_on_first_read():
+    import dualschubert
+
+    for name in dualschubert.__all__:
+        home = importlib.import_module(f"dualschubert.{dualschubert._HOME[name]}")
+        assert getattr(dualschubert, name) is getattr(home, name)
+    assert set(dualschubert.__all__) <= set(dir(dualschubert))
+    with pytest.raises(AttributeError):
+        dualschubert.no_such_name
+
+
+def test_scnp_pattern_verify_loads_no_polytope_module():
+    # neither the import nor the sweep, its units run in-process, loads these
+    loaded = json.loads(fresh_interpreter(f"""
+import json, sys
+unused = {UNUSED_BY_SCNP_PATTERN!r}
+import dualschubert
+package = sorted(m for m in sys.modules if m.startswith("dualschubert."))
+import dualschubert.cli as cli
+imported = [m for m in unused if m in sys.modules]
+rc = cli.main(["verify", "--mode", "scnp-pattern", "--n", "4", "--json"])
+print(json.dumps([package, imported, rc, [m for m in unused if m in sys.modules]]))
+"""))
+    assert loaded == [[], [], 0, []]
+
+
+@pytest.mark.parametrize("mode", ["ps-mconvex", "paper-theorems"])
+def test_pool_sweep_loads_its_unit_modules_before_the_first_fork(mode):
+    # every module the units load in a fresh process is already loaded when
+    # the sweep starts its first worker, so no worker compiles one
+    start = "import json, sys\nfrom dualschubert import cli, scnp\n"
+    used = json.loads(fresh_interpreter(start + f"""
+from dualschubert.perm import all_perms, format_perm
+before = set(sys.modules)
+for key in map(format_perm, all_perms(4)):
+    scnp._run_unit("{mode}", 4, key)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""))
+    at_fork = json.loads(fresh_interpreter(start + f"""
+at_start = []
+
+
+class Recorded(scnp.Process):
+    def start(self):
+        at_start.append(sorted(sys.modules))
+        super().start()
+
+
+scnp.Process, scnp._usable_cpus = Recorded, lambda: 2
+assert cli.main(["verify", "--mode", "{mode}", "--n", "4", "--jobs", "2", "--json"]) == 0
+print(json.dumps(at_start[0]))
+"""))
+    assert {"dualschubert.poly", "dualschubert.polytope", "fractions"} <= set(used)
+    assert set(used) <= set(at_fork)

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from dualschubert import (
+    ConjectureReport,
+    RectTiling,
+    SaturatedChain,
+    ScnpVerdict,
+    StaircaseDiagram,
     all_perms,
     apply_t,
     bruhat_leq,
@@ -197,3 +204,53 @@ def test_all_perms_is_lexicographic():
     assert perms[0] == identity(4)
     assert perms[-1] == longest_element(4)
     assert perms == sorted(perms)
+
+
+# -- value classes ------------------------------------------------------------------
+
+
+# each frozen value class, the fields of one instance, and one field changed
+FROZEN = [
+    (SaturatedChain, {"nodes": ((1, 2, 3), (2, 1, 3)), "labels": ((1, 2),)},
+     {"nodes": ((1, 2, 3), (1, 3, 2)), "labels": ((2, 3),)}),
+    (ScnpVerdict, {"holds": True, "witness": None, "chains_examined": 1},
+     {"chains_examined": 2}),
+    (StaircaseDiagram, {"n": 3, "fill": ((1, 0), (1,))}, {"fill": ((1, 1), (1,))}),
+    (RectTiling, {"n": 3, "rects": ((1, 1, 1, 2), (2, 1, 2, 1))},
+     {"rects": ((1, 2, 1, 2), (1, 1, 2, 1))}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, changed", FROZEN, ids=[c.__name__ for c, _, _ in FROZEN])
+def test_frozen_values_compare_and_hash_by_fields_and_refuse_assignment(cls, fields, changed):
+    value, twin = cls(**fields), cls(**fields)
+    assert twin == value and hash(twin) == hash(value) and twin is not value
+    assert cls(**{**fields, **changed}) != value
+    assert value != tuple(fields.values())  # the same fields in a tuple are not the value
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in fields] == list(fields.values())
+    assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+
+
+def test_value_repr_names_each_field():
+    assert repr(ScnpVerdict(False, None, 2)) == (
+        "ScnpVerdict(holds=False, witness=None, chains_examined=2)")
+    assert repr(RectTiling(2, ((1, 1, 1, 1),))) == "RectTiling(n=2, rects=((1, 1, 1, 1),))"
+
+
+def test_conjecture_reports_compare_by_fields_and_share_no_list():
+    a = ConjectureReport("scnp-pattern", 3, 5, [], 0.5)
+    b = ConjectureReport("scnp-pattern", 3, 5, [], 0.5)
+    assert a == b and a.complete and a.resume_token is None
+    assert a.scnp_failures == [] and a.scnp_failures is not b.scnp_failures
+    a.scnp_failures.append(("123", "321"))
+    assert b.scnp_failures == [] and a != b
+    b.scnp_failures = [("123", "321")]  # a report may be assigned to, as before
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    assert pickle.loads(pickle.dumps(a)) == a

@@ -38,7 +38,7 @@ from dualschubert import (
     verify_scnp_pattern,
     verify_theorems,
 )
-from dualschubert import bruhat, scnp
+from dualschubert import bruhat, poly, polytope, scnp, tiling
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
 from dualschubert.perm import _complement
 from dualschubert.poly import _segment_terms, _unpacker
@@ -414,7 +414,7 @@ def test_ps_mconvex_unit_matches_uncached_oracle_rank6(key):
 @pytest.mark.usefixtures("every_pair_counted")
 def test_ps_mconvex_unit_fails_every_pair_whose_count_differs(monkeypatch):
     # no support of rank 7 or less fails; a count of 0 is what non-supermodular floors get
-    monkeypatch.setattr(scnp, "_base_size", lambda z, d: 0)
+    monkeypatch.setattr(polytope, "_base_size", lambda z, d: 0)
     scnp._floors_base_size.cache_clear()
     try:
         record = scnp._run_unit("ps-mconvex", 4, "1324")
@@ -602,7 +602,7 @@ def test_verify_theorems_builds_no_support_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("the paper-theorems unit built a support table")
 
-    monkeypatch.setattr(scnp, "_key_table", refuse)
+    monkeypatch.setattr(poly, "_key_table", refuse)
     scnp._theorem_floors.cache_clear()  # so that the rank-4 fold runs here
     assert verify_theorems(4).ok()
 
@@ -612,10 +612,10 @@ def test_verify_theorems_builds_no_support_table(monkeypatch):
 W = (2, 3, 1)
 
 
-def wrong_at_w(monkeypatch, name, wrong, about=lambda *args: args[-1]):
-    real = getattr(scnp, name)
+def wrong_at_w(monkeypatch, module, name, wrong, about=lambda *args: args[-1]):
+    real = getattr(module, name)
     monkeypatch.setattr(
-        scnp, name, lambda *args: wrong(*args) if about(*args) == W else real(*args)
+        module, name, lambda *args: wrong(*args) if about(*args) == W else real(*args)
     )
 
 
@@ -631,34 +631,34 @@ def fault_dominance(monkeypatch):
 
 
 def fault_greedy(monkeypatch):
-    wrong_at_w(monkeypatch, "is_greedy", lambda g, u, w: False)
+    wrong_at_w(monkeypatch, scnp, "is_greedy", lambda g, u, w: False)
 
 
 def fault_weight(monkeypatch):
     labels = greedy_chain(identity(3), W).labels
-    wrong_at_w(monkeypatch, "_segment_terms",
+    wrong_at_w(monkeypatch, poly, "_segment_terms",
                lambda segs, nvars: {m: 2 * c for m, c in _segment_terms(segs, nvars).items()},
                about=lambda segs, nvars: W if tuple(segs) == labels else None)
 
 
 def fault_certificate(monkeypatch):
     supp = ps_support(identity(3), W)
-    wrong_at_w(monkeypatch, "m_convex_certificate", lambda points: None,
+    wrong_at_w(monkeypatch, polytope, "m_convex_certificate", lambda points: None,
                about=lambda points: W if points == supp else None)
 
 
 def fault_certificate_and_snp(monkeypatch):
     fault_certificate(monkeypatch)
-    monkeypatch.setattr(scnp, "_snp_by_hull", lambda supp: False)
+    monkeypatch.setattr(polytope, "_snp_by_hull", lambda supp: False)
 
 
 def fault_inversion_polytope(monkeypatch):
-    wrong_at_w(monkeypatch, "gp_from_inversions",
-               lambda w: scnp.gp_from_inversions((3, 1, 2)))
+    wrong_at_w(monkeypatch, polytope, "gp_from_inversions",
+               lambda w: polytope.gp_from_inversions((3, 1, 2)))
 
 
 def fault_tilings(monkeypatch):
-    wrong_at_w(monkeypatch, "vertices_via_tilings", lambda w: frozenset())
+    wrong_at_w(monkeypatch, tiling, "vertices_via_tilings", lambda w: frozenset())
 
 
 THEOREM_FAULTS = [
