@@ -423,12 +423,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, "exhaustive rank sweeps")
     p.add_argument("--mode", required=True, choices=list(scnp.SWEEPS))
     p.add_argument("--n", required=True, type=int, help="rank to sweep, 1 to 9")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="at most this many worker processes; scnp-pattern runs"
+                        " in one process up to rank 5, the other modes up to"
+                        " rank 4")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds; exceeding it yields a"
                         " partial, resumable report; an in-process run"
-                        " (--jobs 1) first finishes the unit it is running,"
-                        " up to about 8 s at rank 7")
+                        " (--jobs 1, or a rank that runs in one process) first"
+                        " finishes the unit it is running, up to about 8 s at"
+                        " rank 7")
     p.add_argument("--checkpoint", default=None,
                    help="write resume state to this file before the first"
                         " unit, at most once a second while units finish,"

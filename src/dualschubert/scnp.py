@@ -58,12 +58,15 @@ UPPER_PATTERN exactly when w0 w contains LOWER_PATTERN: the scnp-pattern
 merge computes the lower law and reads the upper one off it.
 
 The rank sweeps walk the whole symmetric group.  `SWEEPS` maps each mode
-to a unit (one base permutation), a merge and whether it is mirrored;
+to a unit (one base permutation), a merge, the rank from which it starts
+workers and whether it is mirrored;
 `verify_ps_mconvex`, `verify_scnp_pattern` and `verify_theorems` run one
 mode each, through one sweep body.  It supports budget-bounded partial runs
-with resumable checkpoints and can fan units out over worker processes.
-Results are merged in a fixed order, so reports are deterministic
-regardless of worker scheduling.
+with resumable checkpoints and can fan units out over worker processes
+from the mode's pool rank on, 6 for scnp-pattern and 5 for the others;
+below it every unit runs in this process, and `multiprocessing` is imported
+only when a sweep starts workers.  Results are merged in a fixed order, so
+reports are deterministic regardless of worker scheduling.
 
 This module imports `poly`, `polytope` and `tiling` only inside the
 functions that use them, so a command loads only what it runs.  The
@@ -86,8 +89,6 @@ import time
 from contextlib import suppress
 from functools import lru_cache, reduce
 from importlib import import_module
-from multiprocessing import Pipe, Process
-from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable
 
@@ -481,19 +482,27 @@ def _merge_theorems(n: int, fails: dict[str, list]) -> tuple[list, list]:
     return [rec for recs in fails.values() for rec in recs], []
 
 
-# mode -> (unit, merge, modules, mirrored).  One unit per permutation key of
-# S_n: unit(n, key) returns {"pairs": int, "fails": list}.  merge(n, fails)
-# takes every unit's fails in key order and returns the report's
-# counterexamples and scnp_failures.  modules are those the unit imports
-# beyond this one's, loaded before the sweep forks.  A mirrored sweep's fails
-# are permutation keys, and unit rc(u)'s record is `_mirror` of unit u's.
-# paper-theorems is not mirrored: its unit cross-checks independent routes
-# for one w.
+# mode -> (unit, merge, modules, pool rank, mirrored).  One unit per
+# permutation key of S_n: unit(n, key) returns {"pairs": int, "fails": list}.
+# merge(n, fails) takes every unit's fails in key order and returns the
+# report's counterexamples and scnp_failures.  modules are those the unit
+# imports beyond this one's, loaded before the sweep forks.  Below the pool
+# rank every unit runs in this process, whatever `jobs` says: there two
+# workers cost more than they saved, by forking, cold per-process caches and
+# a round trip to the parent per unit.  That held in every mode below rank 5,
+# and at rank 5 for scnp-pattern, whose units (a dominance fold each) take
+# about 0.2 ms.  At rank 5 the heavier ps-mconvex and paper-theorems units
+# finished up to 1.4 times as often in a pool while the second core was
+# idle, for about the same wall time (`BENCH_poolrank.json`).  A mirrored
+# sweep's fails are permutation keys, and unit rc(u)'s record is `_mirror`
+# of unit u's.  paper-theorems is not mirrored: its unit cross-checks
+# independent routes for one w.
 SWEEPS: dict[str, tuple[Callable[[int, str], dict], Callable[[int, dict], tuple],
-                        tuple[str, ...], bool]] = {
-    "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex, ("poly", "polytope"), True),
-    "scnp-pattern": (_unit_scnp_pattern, _merge_scnp_pattern, (), True),
-    "paper-theorems": (_unit_theorems, _merge_theorems, ("poly", "polytope", "tiling"), False),
+                        tuple[str, ...], int, bool]] = {
+    "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex, ("poly", "polytope"), 5, True),
+    "scnp-pattern": (_unit_scnp_pattern, _merge_scnp_pattern, (), 6, True),
+    "paper-theorems": (_unit_theorems, _merge_theorems, ("poly", "polytope", "tiling"), 5,
+                       False),
 }
 
 
@@ -619,18 +628,20 @@ def _sweep(
     half recorded gets the other half up front, with no progress call.
 
     Units recorded in `resume`, a token `_read_token` accepts, are skipped.
-    The rest run in-process when min(jobs, units to run, usable CPUs) is 1,
-    else on that many worker processes.  The checkpoint, its records in key
-    order, is written before the first unit, then when a unit finishes
-    `_CHECKPOINT_EVERY_S` or more after the last write, and on every way
-    out: complete, budget spent, or any exception, including
-    KeyboardInterrupt, which a failed final write does not hide.  So only a
-    hard kill (SIGKILL, out of memory) loses finished units: those that
-    finished less than `_CHECKPOINT_EVERY_S` after the last write.  Once the
-    budget has run out no further result is awaited and the report is
-    partial, with a resume token.  A worker that dies raises RuntimeError
-    naming its unit and exit code.  Leaving the loop, on budget or on error,
-    terminates the worker processes.
+    The rest run in-process below the mode's pool rank (`SWEEPS`) or when
+    min(jobs, units to run, usable CPUs) is 1, else on that many worker
+    processes, and only then is `multiprocessing` imported.  The
+    checkpoint, its records in key order, is written before the first unit,
+    then when a unit finishes `_CHECKPOINT_EVERY_S` or more after the last
+    write, and on every way out: complete, budget spent, or any exception,
+    including KeyboardInterrupt, which a failed final write does not hide.
+    So only a hard kill (SIGKILL, out of memory) loses finished units: those
+    that finished less than `_CHECKPOINT_EVERY_S` after the last write.
+    Once the budget has run out no further result is awaited and the report
+    is partial, with a resume token; an in-process run first finishes the
+    unit it is running.  A worker that dies raises RuntimeError naming its
+    unit and exit code.  Leaving the loop, on budget or on error, terminates
+    the worker processes.
     """
     if n > 9:  # listing S_10 alone took 39 s and 1.7 GB, before any budget
         raise ValueError(f"rank must be <= 9, got {n}")
@@ -640,7 +651,7 @@ def _sweep(
         raise ValueError(f"budget must be a finite number of seconds, got {budget}")
     perms = list(all_perms(n))
     keys = [format_perm(p) for p in perms]
-    *_, modules, mirrored = SWEEPS[mode]
+    *_, modules, pool_rank, mirrored = SWEEPS[mode]
     # unit u's partner: rc(u) in a mirrored sweep, else u itself
     images = list(map(_conjugate, perms)) if mirrored else perms
     partner = dict(zip(keys, map(format_perm, images)))
@@ -648,8 +659,12 @@ def _sweep(
     for key in [k for k in done if partner[k] not in done]:
         done[partner[key]] = _mirror(done[key])
     pending = [k for k, p, q in zip(keys, perms, images) if p <= q and k not in done]
+    workers = min(jobs, len(pending), _usable_cpus()) if n >= pool_rank else 1
     for name in modules:  # here, so that no worker compiles them in its first unit
         import_module(f".{name}", __package__)
+    if workers > 1:
+        from multiprocessing import Pipe, Process
+        from multiprocessing.connection import wait
     start = saved = time.monotonic()
     # each record is serialized once, and a write joins them: the file's
     # text is json.dumps of the token {mode, n, elapsed, done}
@@ -669,7 +684,6 @@ def _sweep(
         return elapsed
 
     save()
-    workers = min(jobs, len(pending), _usable_cpus())
     todo = iter(pending)
     procs, held = {}, {}  # each pipe's worker, and the unit it is running
     try:

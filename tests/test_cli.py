@@ -517,7 +517,7 @@ def fresh_interpreter(code: str) -> str:
 
 
 UNUSED_BY_SCNP_PATTERN = ["dualschubert.poly", "dualschubert.polytope", "dualschubert.tiling",
-                          "fractions", "dataclasses", "traceback"]
+                          "fractions", "dataclasses", "traceback", "multiprocessing"]
 
 
 def test_package_names_resolve_on_first_read():
@@ -532,7 +532,8 @@ def test_package_names_resolve_on_first_read():
 
 
 def test_scnp_pattern_verify_loads_no_polytope_module():
-    # neither the import nor the sweep, its units run in-process, loads these
+    # neither the import nor the sweep loads these: below rank 6 its units
+    # run in this process, whatever --jobs says
     loaded = json.loads(fresh_interpreter(f"""
 import json, sys
 unused = {UNUSED_BY_SCNP_PATTERN!r}
@@ -540,7 +541,7 @@ import dualschubert
 package = sorted(m for m in sys.modules if m.startswith("dualschubert."))
 import dualschubert.cli as cli
 imported = [m for m in unused if m in sys.modules]
-rc = cli.main(["verify", "--mode", "scnp-pattern", "--n", "4", "--json"])
+rc = cli.main(["verify", "--mode", "scnp-pattern", "--n", "5", "--jobs", "2", "--json"])
 print(json.dumps([package, imported, rc, [m for m in unused if m in sys.modules]]))
 """))
     assert loaded == [[], [], 0, []]
@@ -559,16 +560,19 @@ for key in map(format_perm, all_perms(4)):
 print(json.dumps(sorted(set(sys.modules) - before)))
 """))
     at_fork = json.loads(fresh_interpreter(start + f"""
+import multiprocessing
 at_start = []
 
 
-class Recorded(scnp.Process):
+class Recorded(multiprocessing.Process):
     def start(self):
         at_start.append(sorted(sys.modules))
         super().start()
 
 
-scnp.Process, scnp._usable_cpus = Recorded, lambda: 2
+multiprocessing.Process, scnp._usable_cpus = Recorded, lambda: 2
+*head, _, mirrored = scnp.SWEEPS["{mode}"]
+scnp.SWEEPS["{mode}"] = (*head, 1, mirrored)  # start workers at rank 4
 assert cli.main(["verify", "--mode", "{mode}", "--n", "4", "--jobs", "2", "--json"]) == 0
 print(json.dumps(at_start[0]))
 """))

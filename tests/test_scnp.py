@@ -800,12 +800,20 @@ def test_checkpoint_file_round_trip(tmp_path):
     }
 
 
+@pytest.fixture
+def pool(monkeypatch):
+    """A `jobs=2` sweep starts two workers at any rank, on any machine."""
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+    for mode, (*head, _, mirrored) in scnp.SWEEPS.items():
+        monkeypatch.setitem(scnp.SWEEPS, mode, (*head, 1, mirrored))
+
+
+@pytest.mark.usefixtures("pool")
 @pytest.mark.parametrize("mode", list(scnp.SWEEPS))
 def test_parallel_sweep_matches_serial(mode, monkeypatch, tmp_path):
     verify = VERIFY[mode]
     serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
     serial = verify(4, checkpoint_path=serial_path)
-    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(scnp, "_CHECKPOINT_EVERY_S", 0)
     lag = []
 
@@ -831,10 +839,10 @@ def count_writes(monkeypatch) -> list[str]:
     return writes
 
 
+@pytest.mark.usefixtures("pool")
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_within_the_interval_writes_its_checkpoint_twice(jobs, monkeypatch, tmp_path):
     path = tmp_path / "sweep.json"
-    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(scnp, "_CHECKPOINT_EVERY_S", 3600.0)
     writes = count_writes(monkeypatch)
     assert verify_scnp_pattern(4, jobs=jobs, checkpoint_path=path).ok()
@@ -843,9 +851,9 @@ def test_sweep_within_the_interval_writes_its_checkpoint_twice(jobs, monkeypatch
     assert writes[1] == path.read_text() and len(checkpoint_done(path)) == 24
 
 
+@pytest.mark.usefixtures("pool")
 def test_pool_sweep_writes_its_checkpoint_at_most_once_a_second(monkeypatch, tmp_path):
     path = tmp_path / "sweep.json"
-    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
     writes = count_writes(monkeypatch)
     report = verify_scnp_pattern(5, jobs=2, checkpoint_path=path)
     interval = scnp._CHECKPOINT_EVERY_S
@@ -853,12 +861,12 @@ def test_pool_sweep_writes_its_checkpoint_at_most_once_a_second(monkeypatch, tmp
     assert len(checkpoint_done(path)) == 120
 
 
+@pytest.mark.usefixtures("pool")
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_stopped_sweep_checkpoints_its_finished_units(jobs, error, monkeypatch, tmp_path):
+def test_stopped_sweep_checkpoints_its_finished_units(jobs, error, tmp_path):
     serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
     verify_scnp_pattern(4, checkpoint_path=serial_path)
-    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
 
     def stop(done, total, key):
         if done == 5:
@@ -891,8 +899,8 @@ def test_failed_final_write_does_not_hide_the_error(monkeypatch, tmp_path):
     assert len(writes) == 2  # the final write was made, and failed
 
 
-def test_budget_bounds_a_pool_sweep(monkeypatch):
-    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+@pytest.mark.usefixtures("pool")
+def test_budget_bounds_a_pool_sweep():
     start = time.monotonic()
     report = verify_ps_mconvex(7, jobs=2, budget=1.0)
     assert time.monotonic() - start < 15
@@ -900,9 +908,8 @@ def test_budget_bounds_a_pool_sweep(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_error_in_pool_sweep_stops_the_workers(monkeypatch):
-    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
-
+@pytest.mark.usefixtures("pool")
+def test_error_in_pool_sweep_stops_the_workers():
     def fail(done, total, key):
         raise RuntimeError("progress failed")
 
@@ -913,10 +920,10 @@ def test_error_in_pool_sweep_stops_the_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.usefixtures("pool")
 def test_unit_error_in_a_worker_reaches_the_caller(monkeypatch):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers see the patched unit only when forked")
-    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
 
     def broken(mode, n, key):
         raise ValueError(f"unit {key} failed")
@@ -928,12 +935,12 @@ def test_unit_error_in_a_worker_reaches_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.usefixtures("pool")
 def test_dead_worker_is_named_and_finished_units_kept(monkeypatch, tmp_path):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers see the patched unit only when forked")
     serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
     verify_scnp_pattern(4, checkpoint_path=serial_path)
-    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
     run_unit = scnp._run_unit
     # set in the parent once a record is kept; the forked workers share it
     kept = multiprocessing.Event()
@@ -954,14 +961,44 @@ def test_dead_worker_is_named_and_finished_units_kept(monkeypatch, tmp_path):
     assert done == {key: serial[key] for key in done}
 
 
+@pytest.mark.usefixtures("pool")
 def test_single_usable_cpu_runs_serially(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(scnp, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(scnp, "Process", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
     report = verify_scnp_pattern(4, jobs=2)
     assert report.ok() and report.scnp_failures == [("1324", "4231")]
+
+
+@pytest.mark.parametrize("mode, n", [("scnp-pattern", 5), ("ps-mconvex", 4),
+                                     ("paper-theorems", 4)])
+def test_sweep_below_the_pool_rank_runs_in_one_process(mode, n, monkeypatch, tmp_path):
+    # there a pool costs more than it saves, so jobs=2 starts no worker
+    verify = VERIFY[mode]
+    serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
+    serial = verify(n, checkpoint_path=serial_path)
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+    alive = []  # worker processes alive as each unit finishes
+    report = verify(n, jobs=2, checkpoint_path=path,
+                    progress=lambda *args: alive.append(len(multiprocessing.active_children())))
+    assert alive == [0] * math.factorial(n)
+    assert without_elapsed(report) == without_elapsed(serial)
+    assert checkpoint_done(path) == checkpoint_done(serial_path)
+
+
+@pytest.mark.parametrize("mode, n", [("scnp-pattern", 6), ("ps-mconvex", 5),
+                                     ("paper-theorems", 5)])
+def test_sweep_at_the_pool_rank_starts_its_workers(mode, n, monkeypatch):
+    monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
+
+    def stop(done, total, key):
+        raise RuntimeError(f"{len(multiprocessing.active_children())} workers")
+
+    with pytest.raises(RuntimeError, match="^2 workers$"):
+        VERIFY[mode](n, jobs=2, progress=stop)
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_checkpoint_write_keeps_previous_checkpoint(monkeypatch, tmp_path):
