@@ -2,9 +2,16 @@
 Command-line front end.
 
 Permutation arguments accept compact digits ("4213") or a bracketed comma
-list ("[4,2,1,3]").  Commands that take an optional lower endpoint default
-it to the identity.  `--json` switches any output command to its documented
-JSON schema; re-serializing that JSON reproduces the bytes exactly.
+list ("[4,2,1,3]"), ASCII digits only.  Commands that take an optional lower
+endpoint default it to the identity.
+
+There is one output path.  A command computes from its arguments alone and
+returns its JSON value and its text as zero-argument callables, its exit
+code, and any notes for stderr; it prints nothing to stdout.  `main` builds
+the one form asked for (`--json` selects the documented JSON schema, whose
+re-serialization reproduces the bytes exactly), prints it, then the notes,
+and returns the code.  A ValueError raised while formatting still exits 2.
+Options such as `--render` shape only the text.
 
 Exit codes: 0 success / property holds; 1 property fails or a sweep found a
 counterexample; 2 usage or malformed input; 3 internal error.
@@ -39,80 +46,64 @@ def _endpoints(*perms: str) -> tuple[Perm, Perm]:
     return u, w
 
 
-def _print_points(points, nvars: int, as_json: bool) -> None:
-    from .poly import grevlex_key
-
-    ordered = sorted(points, key=grevlex_key)
-    if as_json:
-        print(json.dumps({"nvars": nvars, "points": [list(p) for p in ordered]}))
-    else:
-        for p in ordered:
-            print(" ".join(str(x) for x in p))
+def _rows(rows) -> str:
+    """One line per row, its entries separated by spaces."""
+    return "\n".join(" ".join(map(str, row)) for row in rows)
 
 
 # -- polynomial commands --------------------------------------------------------
 
 
-def _cmd_dual_schubert(args) -> int:
+def _cmd_dual_schubert(args):
     from .poly import dual_schubert
 
-    w = parse_perm(args.w)
-    f = dual_schubert(w)
-    print(json.dumps(f.to_json_dict()) if args.json else str(f))
-    return 0
+    f = dual_schubert(parse_perm(args.w))
+    return f.to_json_dict, f.__str__, 0
 
 
-def _cmd_ps(args) -> int:
+def _cmd_ps(args):
     from .poly import postnikov_stanley_dp
 
-    u, w = _endpoints(args.u, args.w)
-    f = postnikov_stanley_dp(u, w)
-    print(json.dumps(f.to_json_dict()) if args.json else str(f))
-    return 0
+    f = postnikov_stanley_dp(*_endpoints(args.u, args.w))
+    return f.to_json_dict, f.__str__, 0
 
 
-def _cmd_gw(args) -> int:
+def _cmd_gw(args):
     from .poly import global_weight
 
-    w = parse_perm(args.w)
-    f = global_weight(w)
-    print(json.dumps(f.to_json_dict()) if args.json else str(f))
-    return 0
+    f = global_weight(parse_perm(args.w))
+    return f.to_json_dict, f.__str__, 0
 
 
-def _cmd_support(args) -> int:
+def _cmd_support(args):
+    from .poly import grevlex_key
+
     u, w = _endpoints(*args.perm)
-    _print_points(ps_support(u, w), len(w) - 1, args.json)
-    return 0
+    points = sorted(ps_support(u, w), key=grevlex_key)
+    return (lambda: {"nvars": len(w) - 1, "points": [list(p) for p in points]},
+            lambda: _rows(points), 0)
 
 
 # -- polytope commands -----------------------------------------------------------
 
 
-def _cmd_newton(args) -> int:
+def _cmd_newton(args):
     from .polytope import _subset_order, gp_from_inversions
 
-    w = parse_perm(args.w)
-    gp = gp_from_inversions(w)
-    if args.json:
-        print(json.dumps(gp.to_json_dict()))
-        return 0
-    full = frozenset(range(1, gp.nvars + 1))
+    gp = gp_from_inversions(parse_perm(args.w))
 
-    def term(subset) -> str:
-        return " + ".join(f"t{i}" for i in sorted(subset))
+    def text() -> str:
+        if gp.nvars == 0:
+            return "0 = 0"
+        full = frozenset(range(1, gp.nvars + 1))
+        others = [s for s in sorted(gp.z, key=_subset_order) if s and s != full]
+        return "\n".join(" + ".join(f"t{i}" for i in sorted(s)) + f" {op} {gp.z[s]}"
+                         for s, op in [(full, "=")] + [(s, ">=") for s in others])
 
-    if gp.nvars == 0:
-        print("0 = 0")
-        return 0
-    print(f"{term(full)} = {gp.z[full]}")
-    for subset in sorted(gp.z, key=_subset_order):
-        if subset and subset != full:
-            print(f"{term(subset)} >= {gp.z[subset]}")
-    return 0
+    return gp.to_json_dict, text, 0
 
 
-def _cmd_vertices(args) -> int:
+def _cmd_vertices(args):
     from .poly import global_weight
     from .polytope import hull_vertices, newton_vertices_coeff1
     from .tiling import vertices_via_tilings
@@ -125,23 +116,12 @@ def _cmd_vertices(args) -> int:
     else:
         verts = hull_vertices(global_weight(w).support())
     ordered = sorted(verts)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "w": format_perm(w),
-                    "method": args.method,
-                    "vertices": [list(v) for v in ordered],
-                }
-            )
-        )
-    else:
-        for v in ordered:
-            print(" ".join(str(x) for x in v))
-    return 0
+    return (lambda: {"w": format_perm(w), "method": args.method,
+                     "vertices": [list(v) for v in ordered]},
+            lambda: _rows(ordered), 0)
 
 
-def _cmd_tilings(args) -> int:
+def _cmd_tilings(args):
     from .tiling import (
         build_diagram,
         render_diagram,
@@ -151,33 +131,26 @@ def _cmd_tilings(args) -> int:
     )
 
     w = parse_perm(args.w)
-    if args.json:
-        print(json.dumps(tilings_json_dict(w)))
-        return 0
-    d = build_diagram(w)
-    pairs = tiling_vertex_list(w)
-    if args.render:
-        print(f"diagram for {format_perm(w)}:")
-        print(render_diagram(d))
-        for idx, (t, v) in enumerate(pairs, start=1):
-            print()
-            print(f"tiling {idx}: vertex {v}")
-            print(render_tiling(d, t))
-    else:
-        for t, v in pairs:
-            rects = " ".join(str(r) for r in t.rects)
-            print(f"vertex {v}  rects {rects}")
-    return 0
+
+    def text() -> str:
+        pairs = tiling_vertex_list(w)
+        if not args.render:
+            return "\n".join(f"vertex {v}  rects {' '.join(map(str, t.rects))}"
+                             for t, v in pairs)
+        d = build_diagram(w)
+        return "\n".join([f"diagram for {format_perm(w)}:", render_diagram(d)] + [
+            f"\ntiling {idx}: vertex {v}\n{render_tiling(d, t)}"
+            for idx, (t, v) in enumerate(pairs, start=1)])
+
+    return lambda: tilings_json_dict(w), text, 0
 
 
 # -- chain commands ----------------------------------------------------------------
 
 
-def _cmd_greedy(args) -> int:
-    u, w = _endpoints(args.u, args.w)
-    chain = greedy_chain(u, w)
-    print(json.dumps(chain.to_json_dict()) if args.json else chain.render())
-    return 0
+def _cmd_greedy(args):
+    chain = greedy_chain(*_endpoints(args.u, args.w))
+    return chain.to_json_dict, chain.render, 0
 
 
 def _render_interval(u: Perm, w: Perm) -> str:
@@ -193,116 +166,79 @@ def _render_interval(u: Perm, w: Perm) -> str:
     return "\n".join(lines)
 
 
-def _cmd_chains(args) -> int:
+def _cmd_chains(args):
     u, w = bruhat._require_below(*_endpoints(args.u, args.w))
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be at least 0, got {args.limit}")
     stream = enumerate_chains(u, w)
     chains = list(islice(stream, args.limit))
     truncated = next(stream, None) is not None
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "u": format_perm(u),
-                    "w": format_perm(w),
-                    "chains": [c.to_json_dict() for c in chains],
-                    "truncated": truncated,
-                }
-            )
-        )
-        return 0
-    if args.render:
-        print(_render_interval(u, w))
-    for chain in chains:
-        print(chain.render())
-    if truncated:
-        print(f"... (stopped after {args.limit} chains)")
-    return 0
+
+    def text() -> str:
+        lines = [_render_interval(u, w)] if args.render else []
+        lines += [chain.render() for chain in chains]
+        if truncated:
+            lines.append(f"... (stopped after {args.limit} chains)")
+        return "\n".join(lines)
+
+    return (lambda: {"u": format_perm(u), "w": format_perm(w),
+                     "chains": [c.to_json_dict() for c in chains], "truncated": truncated},
+            text, 0)
 
 
 # -- property checks -----------------------------------------------------------------
 
 
-def _cmd_check_snp(args) -> int:
-    from .poly import postnikov_stanley_dp
-    from .polytope import is_snp
+def _verdict(u: Perm, w: Perm, holds: bool, text, /, **fields):
+    """A check's output: u, w and the verdict's fields, the text, and exit
+    0 when the property holds, 1 when it fails."""
+    return ((lambda: {"u": format_perm(u), "w": format_perm(w), **fields}),
+            text, int(not holds))
+
+
+def _cmd_check_snp(args):
+    from .polytope import _snp_support
 
     u, w = _endpoints(*args.perm)
-    f = postnikov_stanley_dp(u, w)
-    verdict = is_snp(f)
-    if args.json:
-        print(
-            json.dumps(
-                {"u": format_perm(u), "w": format_perm(w), "snp": verdict}
-            )
-        )
-    else:
-        print(f"snp: {'true' if verdict else 'false'}")
-    return 0 if verdict else 1
+    snp = _snp_support(ps_support(u, w))
+    return _verdict(u, w, snp, lambda: f"snp: {str(snp).lower()}", snp=snp)
 
 
-def _cmd_check_mconvex(args) -> int:
+def _cmd_check_mconvex(args):
     from .polytope import m_convex_failure
 
     u, w = _endpoints(*args.perm)
     failure = m_convex_failure(ps_support(u, w))
-    if args.json:
-        rec = None
-        if failure is not None:
-            alpha, beta, i = failure
-            rec = {"alpha": list(alpha), "beta": list(beta), "coordinate": i}
-        print(
-            json.dumps(
-                {
-                    "u": format_perm(u),
-                    "w": format_perm(w),
-                    "m_convex": failure is None,
-                    "failure": rec,
-                }
-            )
-        )
-    else:
-        if failure is None:
-            print("m-convex: true")
-        else:
-            alpha, beta, i = failure
-            print(
-                f"m-convex: false (no exchange for {alpha} over {beta}"
-                f" at coordinate {i})"
-            )
-    return 0 if failure is None else 1
+    if failure is None:
+        return _verdict(u, w, True, lambda: "m-convex: true", m_convex=True, failure=None)
+    alpha, beta, i = failure
+    return _verdict(
+        u, w, False,
+        lambda: f"m-convex: false (no exchange for {alpha} over {beta} at coordinate {i})",
+        m_convex=False, failure={"alpha": list(alpha), "beta": list(beta), "coordinate": i},
+    )
 
 
-def _cmd_check_scnp(args) -> int:
+def _cmd_check_scnp(args):
     u, w = _endpoints(args.u, args.w)
     verdict = is_scnp(u, w)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "u": format_perm(u),
-                    "w": format_perm(w),
-                    "holds": verdict.holds,
-                    "witness": verdict.witness.to_json_dict()
-                    if verdict.witness is not None
-                    else None,
-                    "chains_examined": verdict.chains_examined,
-                }
-            )
-        )
-    else:
-        print(f"single-chain property: {'true' if verdict.holds else 'false'}")
-        if verdict.witness is not None:
-            print(f"dominant chain: {verdict.witness.render()}")
-        print(f"chains examined: {verdict.chains_examined}")
-    return 0 if verdict.holds else 1
+    witness = verdict.witness
+
+    def text() -> str:
+        lines = [f"single-chain property: {str(verdict.holds).lower()}"]
+        if witness is not None:
+            lines.append(f"dominant chain: {witness.render()}")
+        return "\n".join(lines + [f"chains examined: {verdict.chains_examined}"])
+
+    return _verdict(u, w, verdict.holds, text, holds=verdict.holds,
+                    witness=None if witness is None else witness.to_json_dict(),
+                    chains_examined=verdict.chains_examined)
 
 
 # -- sweeps ---------------------------------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     # built per call, so that patches of these names take effect
     runners = {
         "ps-mconvex": scnp.verify_ps_mconvex,
@@ -335,16 +271,14 @@ def _cmd_verify(args) -> int:
         checkpoint_path=args.checkpoint,
         progress=progress,
     )
-    print(json.dumps(report.to_json_dict()) if args.json else report.summary())
-    if not report.complete:
-        hint = (
-            "rerun with --resume on the checkpoint file"
-            if args.checkpoint is not None
-            else "no checkpoint was written (pass --checkpoint FILE to resume later)"
-        )
-        print(f"budget exhausted; {hint}", file=sys.stderr)
-        return 0
-    return 1 if report.counterexamples else 0
+    if report.complete:
+        return report.to_json_dict, report.summary, int(bool(report.counterexamples))
+    hint = (
+        "rerun with --resume on the checkpoint file"
+        if args.checkpoint is not None
+        else "no checkpoint was written (pass --checkpoint FILE to resume later)"
+    )
+    return report.to_json_dict, report.summary, 0, f"budget exhausted; {hint}"
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -447,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        as_json, as_text, code, *notes = args.func(args)
+        print(json.dumps(as_json()) if args.json else as_text())
+        for note in notes:
+            print(note, file=sys.stderr)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

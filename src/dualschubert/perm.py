@@ -212,18 +212,12 @@ def parse_perm(s: str) -> Perm:
     (4, 2, 1, 3)
     """
     s = s.strip()
-    if s.startswith("[") and s.endswith("]"):
-        body = s[1:-1].strip()
-        if not body:
-            raise ValueError(f"cannot parse permutation from {s!r}")
-        try:
-            vals = tuple(int(part) for part in body.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse permutation from {s!r}") from None
-        return validate(vals)
-    if s.isdigit():
-        return validate(tuple(int(c) for c in s))
-    raise ValueError(f"cannot parse permutation from {s!r}")
+    bracketed = s.startswith("[") and s.endswith("]")
+    parts = [p.strip() for p in s[1:-1].split(",")] if bracketed else list(s)
+    # ASCII only: str.isdigit and int() also take other scripts' digits
+    if not s or not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"cannot parse permutation from {s!r}")
+    return validate(tuple(map(int, parts)))
 
 
 def format_perm(w: Perm) -> str:

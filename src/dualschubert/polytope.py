@@ -475,17 +475,25 @@ def is_snp(f: SparsePolynomial) -> bool:
     """Does the support of f saturate its Newton polytope?
 
     True when every integer point of the convex hull of the support is
-    itself a support point.  The zero polynomial is rejected; negative
-    coefficients only draw a warning, the definition still applies.  A
-    support that passes `m_convex_certificate` is every integer point of
-    an integral polytope, its own hull, so it is SNP at once; any other
-    support is decided by exact hull membership of the candidate points.
+    itself a support point (`_snp_support`).  The zero polynomial is
+    rejected; negative coefficients only draw a warning, the definition
+    still applies.
     """
     supp = f.support()
     if not supp:
         raise ValueError("the zero polynomial has no Newton polytope")
     if any(c < 0 for _, c in f.items()):
         warnings.warn("polynomial has negative coefficients", stacklevel=2)
+    return _snp_support(supp)
+
+
+def _snp_support(supp: frozenset[LatticePoint]) -> bool:
+    """Is the nonempty point set every integer point of its convex hull?
+
+    A set that passes `m_convex_certificate` is every integer point of an
+    integral polytope, its own hull, so it is SNP at once; any other set is
+    decided by exact hull membership of the candidate points.
+    """
     return m_convex_certificate(supp) is not None or _snp_by_hull(supp)
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -501,6 +503,71 @@ def test_unknown_flag_exits_via_argparse(capsys):
         main(["verify", "--mode", "nope", "--n", "3"])
     assert exc.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+# -- one output path: a command returns its forms, and main prints the one asked for --
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual-schubert", "321"], ["support", "213", "321"], ["newton", "4213"],
+    ["vertices", "4213"], ["tilings", "4213", "--render"],
+    ["chains", "123", "321", "--render", "--limit", "2"], ["check-snp", "4213"],
+    ["check-mconvex", "4213"], ["check-scnp", "1324", "4231"],
+], ids=" ".join)
+def test_a_command_returns_both_forms_and_prints_neither(capsys, argv):
+    args = cli.build_parser().parse_args(argv)
+    as_json, as_text, code = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert run(capsys, *argv) == (code, as_text() + "\n", "")
+    assert run(capsys, *argv, "--json") == (code, json.dumps(as_json()) + "\n", "")
+
+
+def refuse(*args):
+    raise AssertionError("built the output form that was not asked for")
+
+
+def test_verify_builds_only_the_form_it_prints(capsys, monkeypatch):
+    from dualschubert.scnp import ConjectureReport
+
+    argv = ["verify", "--mode", "ps-mconvex", "--n", "3"]
+    with monkeypatch.context() as patch:
+        patch.setattr(ConjectureReport, "summary", refuse)
+        rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 0 and json.loads(out)["checked_pairs"] == 19
+    monkeypatch.setattr(ConjectureReport, "to_json_dict", refuse)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and "checked pairs    19\n" in out
+
+
+def test_check_snp_reads_the_support_without_coefficients(capsys, monkeypatch):
+    from dualschubert import poly
+
+    monkeypatch.setattr(poly, "postnikov_stanley_dp", refuse)
+    monkeypatch.setattr(poly, "_count_table", refuse)
+    assert run(capsys, "check-snp", "1324", "4231") == (0, "snp: true\n", "")
+
+
+def test_dual_schubert_json_never_prints_the_polynomial(capsys, monkeypatch):
+    from dualschubert.poly import SparsePolynomial
+
+    monkeypatch.setattr(SparsePolynomial, "__str__", refuse)
+    rc, out, _ = run(capsys, "dual-schubert", "321", "--json")
+    assert rc == 0 and json.loads(out)["nvars"] == 2
+
+
+def test_budget_hint_follows_the_report():
+    # stdout and stderr into one stream, as a terminal shows them
+    joined = io.StringIO()
+    with contextlib.redirect_stdout(joined), contextlib.redirect_stderr(joined):
+        rc = main(["verify", "--mode", "scnp-pattern", "--n", "4", "--budget", "0"])
+    lines = joined.getvalue().splitlines()
+    assert rc == 0
+    assert lines[0] == "mode             scnp-pattern"
+    assert lines[-2:] == [
+        "complete         no (resumable)",
+        "budget exhausted; no checkpoint was written"
+        " (pass --checkpoint FILE to resume later)",
+    ]
 
 
 # -- start-up: a command loads only the modules it runs ---------------------------------

@@ -190,6 +190,10 @@ def test_parse_perm_rejects_garbage():
     for bad in ["999", "10", "", "[1,2", "abc", "1 2 3", "[]", "[1,x]"]:
         with pytest.raises(ValueError):
             parse_perm(bad)
+    # digits outside ASCII, which str.isdigit or int() accept, and signs
+    for bad in ["\u00b92", "\u0661\u0662", "[1,\u0662]", "[\u0661,2]", "[+1,2]", "[1_0]"]:
+        with pytest.raises(ValueError, match="^cannot parse permutation from "):
+            parse_perm(bad)
 
 
 @pytest.mark.parametrize("make", [identity, longest_element, all_perms])
