@@ -50,10 +50,11 @@ class SaturatedChain(_Value):
         super().__init__(nodes, labels)
         if len(nodes) != len(labels) + 1:
             raise ValueError("chain needs exactly one label per step")
-        validate(nodes[0])
+        rank = length(validate(nodes[0]))
         for i, (a, b) in enumerate(labels):
             prev, cur = nodes[i], nodes[i + 1]
-            if apply_t(prev, a, b) != cur or length(cur) != length(prev) + 1:
+            rank += 1
+            if apply_t(prev, a, b) != cur or length(cur) != rank:
                 raise ValueError(
                     f"step {i + 1} is not the cover"
                     f" {format_perm(prev)} t_({a},{b})"
@@ -215,6 +216,11 @@ def greedy_chain(u: Perm, w: Perm) -> SaturatedChain:
     stays above u; a label (a, b) is kept only if it cannot be widened to
     another available label (a, b') with b' > b or (a', b) with a' < a.
     Ties between unextendable labels go to the lexicographically least.
+    So (a, b) is kept exactly when b is the largest b' of an available
+    (a, b') and a the smallest a' of an available (a', b), which one pass
+    over the labels finds, with no comparison of label pairs.  Every
+    permutation is below w0 = w0 e, so from the identity every label is
+    available and no lower endpoint is compared.
 
     >>> greedy_chain((1, 2, 3), (3, 2, 1)).render()
     '123 <(2,3) 132 <(1,3) 231 <(1,2) 321'
@@ -223,16 +229,14 @@ def greedy_chain(u: Perm, w: Perm) -> SaturatedChain:
     rev_nodes = [w]
     rev_labels: list[PositionPair] = []
     v, top = w, _complement(u)
+    from_identity = top == longest_element(len(u))
     while v != u:  # down-covers w0 c of v, c above w0 v; u <= w0 c iff c <= w0 u
-        avail = [lab for c, lab in _covers(_complement(v)) if bruhat_leq(c, top)]
-        best: PositionPair | None = None
-        for a, b in avail:
-            extendable = any(
-                (x == a and y > b) or (y == b and x < a) for x, y in avail
-            )
-            if not extendable and (best is None or (a, b) < best):
-                best = (a, b)
-        assert best is not None, "nonempty interval must offer a cover"
+        avail = [lab for c, lab in _covers(_complement(v))
+                 if from_identity or bruhat_leq(c, top)]
+        # in (a, b) order, the last b of each a is its largest, the first a
+        # of each b its least, and the first label kept the least
+        widest, lowest = dict(avail), {b: a for a, b in reversed(avail)}
+        best = next((a, b) for a, b in avail if widest[a] == b and lowest[b] == a)
         v = apply_t(v, *best)
         rev_nodes.append(v)
         rev_labels.append(best)
@@ -245,7 +249,8 @@ def is_greedy(chain: SaturatedChain, u: Perm, w: Perm) -> bool:
     Each step label (a, b) into v_i must admit no widening: no cover of v_i
     from below with label (a, b'), b' > b, or (a', b), a' < a, whose lower
     endpoint lies in the interval [u, w].  That endpoint is below v_i, which
-    is at most w, so only u <= v2 needs a comparison.
+    is at most w, so only u <= v2 needs a comparison, and none when u is the
+    identity.
 
     >>> c = SaturatedChain(((1,2,3), (2,1,3), (2,3,1), (3,2,1)),
     ...                    ((1, 2), (2, 3), (1, 2)))
@@ -256,10 +261,11 @@ def is_greedy(chain: SaturatedChain, u: Perm, w: Perm) -> bool:
     if chain.start != u or chain.end != w:
         raise ValueError("chain endpoints do not match the given interval")
     top = _complement(u)
+    from_identity = top == longest_element(len(u))
     for i, (a, b) in enumerate(chain.labels):
         for c, (x, y) in _covers(_complement(chain.nodes[i + 1])):
             wider = (x == a and y > b) or (y == b and x < a)
-            if wider and bruhat_leq(c, top):  # as in greedy_chain
+            if wider and (from_identity or bruhat_leq(c, top)):  # as in greedy_chain
                 return False
     return True
 

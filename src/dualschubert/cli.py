@@ -358,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=list(scnp.SWEEPS))
     p.add_argument("--n", required=True, type=int, help="rank to sweep, 1 to 9")
     p.add_argument("--jobs", type=int, default=1,
-                   help="at most this many worker processes; scnp-pattern runs"
-                        " in one process up to rank 5, the other modes up to"
-                        " rank 4")
+                   help="at most this many worker processes; every mode runs"
+                        " in one process up to rank 5")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds; exceeding it yields a"
                         " partial, resumable report; an in-process run"

@@ -24,7 +24,7 @@ Analysis", 2003); that polytope is then conv(S), and its vertices are its
 greedy points (Edmonds, "Submodular functions, matroids, and certain
 polyhedra", 1970).  S lies inside that polytope by the definition of z_S,
 so "S is every integer point" is a count: `_base_size` walks the points of
-the polytope of a supermodular z one coordinate short of the end, and the
+the polytope of a supermodular z two coordinates short of the end, and the
 certificate compares that count with |S|.  `m_convex_certificate` checks
 this from z_S read off the points (`_subset_floors`), and the ps-mconvex
 sweep from the floors it folds and the size of a key set.  The certificate
@@ -245,26 +245,25 @@ def _walk_bounds(z: Sequence[int], n: int) -> list[tuple[list[int], list[int]]]:
     ]
 
 
-def _base_points(z: Sequence[int], n: int):
-    """Yield the integer t with sum(t) = z(full) and t(I) >= z(I), by bitmask.
+def _base_points(z: Sequence[int], n: int) -> list[tuple[int, ...]]:
+    """The integer t with sum(t) = z(full) and t(I) >= z(I), by bitmask.
 
-    Coordinates are fixed in order, with the sums t(I) over the subsets I of
-    the fixed prefix carried along.  Coordinate k meets every inequality
-    whose largest member is k: z(I+k) - t(I) <= t_k <= z(full) -
-    z(full-I-k) - t(I), so each inequality is read once per prefix.  For a
-    supermodular z every prefix that gets a value extends to a point.
+    Coordinates are fixed in order, one level of prefixes at a time, with
+    the sums t(I) over the subsets I of each prefix carried along.
+    Coordinate k meets every inequality whose largest member is k: z(I+k) -
+    t(I) <= t_k <= z(full) - z(full-I-k) - t(I), so each inequality is read
+    once per prefix, and the last coordinate needs no sums of its own.  For
+    a supermodular z every prefix that gets a value extends to a point.
     """
-    bounds = _walk_bounds(z, n)
-
-    def walk(k: int, sums: list[int], prefix: tuple[int, ...]):
-        if k == n:
-            yield prefix
-            return
-        lows, highs = bounds[k]
-        for v in range(max(map(sub, lows, sums)), min(map(sub, highs, sums)) + 1):
-            yield from walk(k + 1, sums + [s + v for s in sums], prefix + (v,))
-
-    return walk(0, [0], ())
+    level = [((), [0])]
+    for k, (lows, highs) in enumerate(_walk_bounds(z, n)):
+        grow = k < n - 1
+        level = [
+            (prefix + (v,), sums + [s + v for s in sums] if grow else sums)
+            for prefix, sums in level
+            for v in range(max(map(sub, lows, sums)), min(map(sub, highs, sums)) + 1)
+        ]
+    return [prefix for prefix, _ in level]
 
 
 def _base_size(z: Sequence[int], n: int) -> int:
@@ -272,26 +271,38 @@ def _base_size(z: Sequence[int], n: int) -> int:
     z(empty) = 0, is supermodular; 0 when it is not.
 
     No point set is empty, so a set with floors z fills P(z) exactly when
-    this is its size.  The count is the walk of `_base_points`, stopped one
-    coordinate early.  For a supermodular z every
-    value in a prefix's range extends to a point, so the second-to-last
-    coordinate contributes its range's length; and the last coordinate is
-    then fixed, to z(full) minus the others, since I = everything before it
-    gives it equal bounds.  With fewer than two coordinates there is exactly
-    one point.
+    this is its size.  The count is the walk of `_base_points`, stopped two
+    coordinates early.  For a supermodular z every value in a prefix's range
+    extends to a point, and the last coordinate is then fixed, to z(full)
+    minus the others, since I = everything before it gives it equal bounds.
+    So the second-to-last coordinate contributes its range's length: its
+    bounds over the subsets I of the coordinates before it split by whether
+    I holds the third-to-last, whose value v they then subtract.  With A, B
+    the largest lower bounds without and with it, and C, D the least upper
+    ones, the length is max(min(C, D - v) - max(A, B - v) + 1, 0).  With
+    fewer than two coordinates there is exactly one point.
     """
     if not _is_supermodular(z, n):
         return 0
     if n < 2:
         return 1
-    bounds, last = _walk_bounds(z, n), n - 2
+    bounds = _walk_bounds(z, n)
+    if n == 2:
+        (lo,), (hi,) = bounds[0]
+        return max(hi - lo + 1, 0)
+    last, half = n - 3, 1 << n - 3
+    lows2, highs2 = bounds[n - 2]
 
     def walk(k: int, sums: list[int]) -> int:
         lows, highs = bounds[k]
         lo, hi = max(map(sub, lows, sums)), min(map(sub, highs, sums))
-        if k == last:
-            return max(hi - lo + 1, 0)
-        return sum(walk(k + 1, sums + [s + v for s in sums]) for v in range(lo, hi + 1))
+        if k < last:
+            return sum(
+                walk(k + 1, sums + [s + v for s in sums]) for v in range(lo, hi + 1)
+            )
+        a, b = max(map(sub, lows2[:half], sums)), max(map(sub, lows2[half:], sums))
+        c, d = min(map(sub, highs2[:half], sums)), min(map(sub, highs2[half:], sums))
+        return sum(max(min(c, d - v) - max(a, b - v) + 1, 0) for v in range(lo, hi + 1))
 
     return walk(0, [0])
 

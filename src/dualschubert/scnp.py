@@ -58,14 +58,13 @@ UPPER_PATTERN exactly when w0 w contains LOWER_PATTERN: the scnp-pattern
 merge computes the lower law and reads the upper one off it.
 
 The rank sweeps walk the whole symmetric group.  `SWEEPS` maps each mode
-to a unit (one base permutation), a merge, the rank from which it starts
-workers and whether it is mirrored;
-`verify_ps_mconvex`, `verify_scnp_pattern` and `verify_theorems` run one
-mode each, through one sweep body.  It supports budget-bounded partial runs
-with resumable checkpoints and can fan units out over worker processes
-from the mode's pool rank on, 6 for scnp-pattern and 5 for the others;
-below it every unit runs in this process, and `multiprocessing` is imported
-only when a sweep starts workers.  Results are merged in a fixed order, so
+to a unit (one base permutation), a merge, the modules its unit loads and
+whether it is mirrored; `verify_ps_mconvex`, `verify_scnp_pattern` and
+`verify_theorems` run one mode each, through one sweep body.  It supports
+budget-bounded partial runs with resumable checkpoints and can fan units
+out over worker processes from `_POOL_RANK`, 6, on; below it every unit of
+every mode runs in this process, and `multiprocessing` is imported only
+when a sweep starts workers.  Results are merged in a fixed order, so
 reports are deterministic regardless of worker scheduling.
 
 This module imports `poly`, `polytope` and `tiling` only inside the
@@ -482,28 +481,29 @@ def _merge_theorems(n: int, fails: dict[str, list]) -> tuple[list, list]:
     return [rec for recs in fails.values() for rec in recs], []
 
 
-# mode -> (unit, merge, modules, pool rank, mirrored).  One unit per
-# permutation key of S_n: unit(n, key) returns {"pairs": int, "fails": list}.
-# merge(n, fails) takes every unit's fails in key order and returns the
-# report's counterexamples and scnp_failures.  modules are those the unit
-# imports beyond this one's, loaded before the sweep forks.  Below the pool
-# rank every unit runs in this process, whatever `jobs` says: there two
-# workers cost more than they saved, by forking, cold per-process caches and
-# a round trip to the parent per unit.  That held in every mode below rank 5,
-# and at rank 5 for scnp-pattern, whose units (a dominance fold each) take
-# about 0.2 ms.  At rank 5 the heavier ps-mconvex and paper-theorems units
-# finished up to 1.4 times as often in a pool while the second core was
-# idle, for about the same wall time (`BENCH_poolrank.json`).  A mirrored
-# sweep's fails are permutation keys, and unit rc(u)'s record is `_mirror`
-# of unit u's.  paper-theorems is not mirrored: its unit cross-checks
-# independent routes for one w.
+# mode -> (unit, merge, modules, mirrored).  One unit per permutation key of
+# S_n: unit(n, key) returns {"pairs": int, "fails": list}.  merge(n, fails)
+# takes every unit's fails in key order and returns the report's
+# counterexamples and scnp_failures.  modules are those the unit imports
+# beyond this one's, loaded before the sweep forks.  A mirrored sweep's fails
+# are permutation keys, and unit rc(u)'s record is `_mirror` of unit u's.
+# paper-theorems is not mirrored: its unit cross-checks independent routes
+# for one w.
 SWEEPS: dict[str, tuple[Callable[[int, str], dict], Callable[[int, dict], tuple],
-                        tuple[str, ...], int, bool]] = {
-    "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex, ("poly", "polytope"), 5, True),
-    "scnp-pattern": (_unit_scnp_pattern, _merge_scnp_pattern, (), 6, True),
-    "paper-theorems": (_unit_theorems, _merge_theorems, ("poly", "polytope", "tiling"), 5,
+                        tuple[str, ...], bool]] = {
+    "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex, ("poly", "polytope"), True),
+    "scnp-pattern": (_unit_scnp_pattern, _merge_scnp_pattern, (), True),
+    "paper-theorems": (_unit_theorems, _merge_theorems, ("poly", "polytope", "tiling"),
                        False),
 }
+
+# Below this rank every unit runs in this process, whatever `jobs` says.
+# There two workers cost more than they save, in every mode: on a shared
+# 2-core machine, importing `multiprocessing` and starting two workers took
+# 12-19 ms, and two forked copies of a CPU loop ran only 0.8-1.4 times as
+# fast as one; a rank-5 ps-mconvex pass ran a quarter faster in one
+# process (`BENCH_onepool.json`).
+_POOL_RANK = 6
 
 
 def _run_unit(mode: str, n: int, key: str) -> dict:
@@ -628,7 +628,7 @@ def _sweep(
     half recorded gets the other half up front, with no progress call.
 
     Units recorded in `resume`, a token `_read_token` accepts, are skipped.
-    The rest run in-process below the mode's pool rank (`SWEEPS`) or when
+    The rest run in-process below `_POOL_RANK` or when
     min(jobs, units to run, usable CPUs) is 1, else on that many worker
     processes, and only then is `multiprocessing` imported.  The
     checkpoint, its records in key order, is written before the first unit,
@@ -651,7 +651,7 @@ def _sweep(
         raise ValueError(f"budget must be a finite number of seconds, got {budget}")
     perms = list(all_perms(n))
     keys = [format_perm(p) for p in perms]
-    *_, modules, pool_rank, mirrored = SWEEPS[mode]
+    *_, modules, mirrored = SWEEPS[mode]
     # unit u's partner: rc(u) in a mirrored sweep, else u itself
     images = list(map(_conjugate, perms)) if mirrored else perms
     partner = dict(zip(keys, map(format_perm, images)))
@@ -659,7 +659,7 @@ def _sweep(
     for key in [k for k in done if partner[k] not in done]:
         done[partner[key]] = _mirror(done[key])
     pending = [k for k, p, q in zip(keys, perms, images) if p <= q and k not in done]
-    workers = min(jobs, len(pending), _usable_cpus()) if n >= pool_rank else 1
+    workers = min(jobs, len(pending), _usable_cpus()) if n >= _POOL_RANK else 1
     for name in modules:  # here, so that no worker compiles them in its first unit
         import_module(f".{name}", __package__)
     if workers > 1:

@@ -13,9 +13,11 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import sub
 
 from dualschubert.bruhat import SaturatedChain, interval_elements
 from dualschubert.perm import (
+    apply_t,
     bruhat_leq,
     contains_pattern,
     down_covers,
@@ -25,7 +27,7 @@ from dualschubert.perm import (
     up_covers,
 )
 from dualschubert.poly import _count_table, _unpacker
-from dualschubert.polytope import _base_points, _is_supermodular
+from dualschubert.polytope import _is_supermodular, _walk_bounds
 from dualschubert.scnp import UPPER_PATTERN, _steps
 
 
@@ -275,6 +277,63 @@ def floors_by_tuples(u, sets):
     return table
 
 
+def greedy_chain_by_pairs(u, w):
+    """The greedy chain from u to w, with u <= w: at each node, from the
+    top down, the least available label that no other available label
+    widens, every pair of labels compared and every lower endpoint
+    compared with u."""
+    nodes, labels, v = [w], [], w
+    while v != u:
+        avail = [lab for x, lab in down_covers(v) if bruhat_leq(u, x)]
+        best = min(
+            (a, b) for a, b in avail
+            if not any((x == a and y > b) or (y == b and x < a) for x, y in avail)
+        )
+        v = apply_t(v, *best)
+        nodes.append(v)
+        labels.append(best)
+    return SaturatedChain(tuple(reversed(nodes)), tuple(reversed(labels)))
+
+
+def base_points_by_recursion(z, n):
+    """Yield the integer t with sum(t) = z(full) and t(I) >= z(I), by
+    bitmask: a depth-first walk over prefixes that carries t(I) for every
+    subset I of the prefix, the last coordinate included, and bounds each
+    coordinate k by every inequality whose largest member is k."""
+    bounds = _walk_bounds(z, n)
+
+    def walk(k, sums, prefix):
+        if k == n:
+            yield prefix
+            return
+        lows, highs = bounds[k]
+        for v in range(max(map(sub, lows, sums)), min(map(sub, highs, sums)) + 1):
+            yield from walk(k + 1, sums + [s + v for s in sums], prefix + (v,))
+
+    return walk(0, [0], ())
+
+
+def base_size_by_walk(z, n):
+    """The number of points `base_points_by_recursion` yields for a
+    supermodular z with z(empty) = 0, 0 when z is not supermodular: the
+    same walk, stopped at the second-to-last coordinate, whose range's
+    length it counts."""
+    if not _is_supermodular(z, n):
+        return 0
+    if n < 2:
+        return 1
+    bounds, last = _walk_bounds(z, n), n - 2
+
+    def walk(k, sums):
+        lows, highs = bounds[k]
+        lo, hi = max(map(sub, lows, sums)), min(map(sub, highs, sums))
+        if k == last:
+            return max(hi - lo + 1, 0)
+        return sum(walk(k + 1, sums + [s + v for s in sums]) for v in range(lo, hi + 1))
+
+    return walk(0, [0])
+
+
 def ps_mconvex_record_by_counts(n, key):
     """The ps-mconvex unit record of u = key, pair by pair, with no memo:
     the reference for `scnp._unit_ps_mconvex`.
@@ -299,7 +358,8 @@ def ps_mconvex_record_by_counts(n, key):
     for v, terms in counts.items():
         points = [unpack(e) for e in terms]
         z = list(map(min, zip(*map(subset_sums, points))))
-        if not (_is_supermodular(z, d) and len(list(_base_points(z, d))) == len(points)):
+        size = len(list(base_points_by_recursion(z, d)))
+        if not (_is_supermodular(z, d) and size == len(points)):
             fails.append(format_perm(v))
     return {"pairs": len(counts), "fails": fails}
 

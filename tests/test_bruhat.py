@@ -33,6 +33,7 @@ from oracles import (
     chain_count_bruteforce,
     covers_bruteforce,
     dominates_bruteforce,
+    greedy_chain_by_pairs,
     interval_covers_by_down_walk,
 )
 
@@ -195,6 +196,43 @@ def test_greedy_chain_is_greedy_everywhere_s4():
         assert g.start == u and g.end == w
         assert len(g) == length(w) - length(u)
         assert is_greedy(g, u, w)
+
+
+def test_greedy_chain_matches_the_all_pairs_rule():
+    # every comparable pair of S1-S5, then a seeded rank-6 sample, a third
+    # of it from the identity, where no lower endpoint is compared
+    pairs = [p for n in range(1, 6) for p in comparable_pairs(n)]
+    rng, perms = random.Random(6), list(all_perms(6))
+    sample = []
+    while len(sample) < 300:
+        u, w = identity(6) if len(sample) % 3 == 0 else rng.choice(perms), rng.choice(perms)
+        if bruhat_leq(u, w):
+            sample.append((u, w))
+    assert len(pairs) == 1 + 3 + 19 + 213 + 3781
+    for u, w in pairs + sample:
+        assert greedy_chain(u, w) == greedy_chain_by_pairs(u, w), (u, w)
+
+
+def test_is_greedy_matches_the_definition_on_every_chain_s4():
+    below = {v: [] for v in all_perms(4)}  # v -> (x, label) for x covered by v
+    for x in below:
+        for lab, v in covers_bruteforce(x):
+            below[v].append((x, lab))
+
+    def widened(chain, u):
+        return any(
+            (x == a and y > b or y == b and x < a) and bruhat_leq_bruteforce(u, v2)
+            for (a, b), v in zip(chain.labels, chain.nodes[1:])
+            for v2, (x, y) in below[v]
+        )
+
+    seen = Counter()
+    for u, w in comparable_pairs(4):
+        for chain in enumerate_chains(u, w):
+            verdict = is_greedy(chain, u, w)
+            assert verdict == (not widened(chain, u)), chain.render()
+            seen[u == identity(4), verdict] += 1
+    assert len(seen) == 4, seen
 
 
 def test_greedy_chain_rejects_incomparable():

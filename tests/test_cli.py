@@ -638,8 +638,7 @@ class Recorded(multiprocessing.Process):
 
 
 multiprocessing.Process, scnp._usable_cpus = Recorded, lambda: 2
-*head, _, mirrored = scnp.SWEEPS["{mode}"]
-scnp.SWEEPS["{mode}"] = (*head, 1, mirrored)  # start workers at rank 4
+scnp._POOL_RANK = 1  # start workers at rank 4
 assert cli.main(["verify", "--mode", "{mode}", "--n", "4", "--jobs", "2", "--json"]) == 0
 print(json.dumps(at_start[0]))
 """))

@@ -34,7 +34,13 @@ from dualschubert.polytope import _exchange_failure, _snp_by_hull
 from dualschubert.scnp import support_table_above
 from dualschubert.tiling import vertices_via_tilings
 
-from oracles import hull_contains_bruteforce, minkowski_support, snp_bruteforce
+from oracles import (
+    base_points_by_recursion,
+    base_size_by_walk,
+    hull_contains_bruteforce,
+    minkowski_support,
+    snp_bruteforce,
+)
 
 
 def frac_poly(nvars, exps):
@@ -369,6 +375,43 @@ def test_base_size_counts_every_point_on_rank5_floors():
     assert len(floors) == 387  # distinct among the 3,781 rank-5 pairs
     for z in map(unpack, floors):
         assert polytope._base_size(z, 4) == len(list(polytope._base_points(z, 4))) > 0
+
+
+def random_floor_vector(rng):
+    """z on the subsets of 1..d by bitmask, d in 0..5: a Minkowski sum of
+    segment simplices, supermodular, or that sum with one entry moved, or
+    small values at random, z(empty) included."""
+    d = rng.randrange(6)
+    kind = rng.randrange(3)
+    if kind == 2:
+        return [rng.randrange(-1, 3) for _ in range(1 << d)], d
+    count = rng.randrange(8) if d else 0
+    ends = [sorted(rng.sample(range(d + 1), 2)) for _ in range(count)]
+    segs = [(1 << b) - (1 << a) for a, b in ends]
+    z = [sum(m & seg == seg for seg in segs) for m in range(1 << d)]
+    if kind == 1 and d:
+        z[rng.randrange(1, 1 << d)] += rng.choice((-1, 1))
+    return z, d
+
+
+def test_base_points_and_size_match_the_recursive_walk():
+    # every inversion polytope of S4-S6, then random z, supermodular or not
+    vectors = [(gp_from_inversions(w)._masks(), n - 1)
+               for n in (4, 5, 6) for w in all_perms(n)]
+    rng = random.Random(2000)
+    vectors += [random_floor_vector(rng) for _ in range(3000)]
+    seen = Counter()
+    for z, d in vectors:
+        points = polytope._base_points(z, d)
+        assert len(points) == len(set(points))
+        assert set(points) == set(base_points_by_recursion(z, d)), (z, d)
+        size = polytope._base_size(z, d)
+        assert size == base_size_by_walk(z, d), (z, d)
+        if size and z[0] == 0:  # the count's contract
+            assert size == len(points)
+        seen[d, polytope._is_supermodular(z, d), len(points) > 1] += 1
+    assert all(seen[d, modular, True] >= 20
+               for d in range(3, 6) for modular in (False, True)), seen
 
 
 def test_base_size_is_zero_off_supermodular_floors():

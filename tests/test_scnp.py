@@ -804,8 +804,7 @@ def test_checkpoint_file_round_trip(tmp_path):
 def pool(monkeypatch):
     """A `jobs=2` sweep starts two workers at any rank, on any machine."""
     monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
-    for mode, (*head, _, mirrored) in scnp.SWEEPS.items():
-        monkeypatch.setitem(scnp.SWEEPS, mode, (*head, 1, mirrored))
+    monkeypatch.setattr(scnp, "_POOL_RANK", 1)
 
 
 @pytest.mark.usefixtures("pool")
@@ -972,10 +971,10 @@ def test_single_usable_cpu_runs_serially(monkeypatch):
     assert report.ok() and report.scnp_failures == [("1324", "4231")]
 
 
-@pytest.mark.parametrize("mode, n", [("scnp-pattern", 5), ("ps-mconvex", 4),
-                                     ("paper-theorems", 4)])
+@pytest.mark.parametrize("mode, n", [(mode, 5) for mode in scnp.SWEEPS])
 def test_sweep_below_the_pool_rank_runs_in_one_process(mode, n, monkeypatch, tmp_path):
-    # there a pool costs more than it saves, so jobs=2 starts no worker
+    # there a pool costs more than it saves, in every mode, so jobs=2
+    # starts no worker
     verify = VERIFY[mode]
     serial_path, path = tmp_path / "serial.json", tmp_path / "sweep.json"
     serial = verify(n, checkpoint_path=serial_path)
@@ -988,8 +987,7 @@ def test_sweep_below_the_pool_rank_runs_in_one_process(mode, n, monkeypatch, tmp
     assert checkpoint_done(path) == checkpoint_done(serial_path)
 
 
-@pytest.mark.parametrize("mode, n", [("scnp-pattern", 6), ("ps-mconvex", 5),
-                                     ("paper-theorems", 5)])
+@pytest.mark.parametrize("mode, n", [(mode, 6) for mode in scnp.SWEEPS])
 def test_sweep_at_the_pool_rank_starts_its_workers(mode, n, monkeypatch):
     monkeypatch.setattr(scnp, "_usable_cpus", lambda: 2)
 
