@@ -205,7 +205,8 @@ def test_greedy_chain_matches_the_all_pairs_rule():
     rng, perms = random.Random(6), list(all_perms(6))
     sample = []
     while len(sample) < 300:
-        u, w = identity(6) if len(sample) % 3 == 0 else rng.choice(perms), rng.choice(perms)
+        u = identity(6) if len(sample) % 3 == 0 else rng.choice(perms)
+        w = rng.choice(perms)
         if bruhat_leq(u, w):
             sample.append((u, w))
     assert len(pairs) == 1 + 3 + 19 + 213 + 3781
