@@ -21,16 +21,16 @@ _EXPORTS = {
     "bruhat": (
         "SaturatedChain", "enumerate_chains", "generating_multiset",
         "greedy_chain", "interval_covers", "interval_elements", "is_greedy",
-        "multiset_dominates", "trivial_chain",
+        "multiset_dominates",
     ),
     "poly": (
         "SparsePolynomial", "chain_weight", "dual_schubert",
-        "dual_schubert_table", "global_weight", "postnikov_stanley_chainsum",
-        "postnikov_stanley_dp", "segment_poly",
+        "dual_schubert_table", "global_weight", "postnikov_stanley_dp",
+        "segment_poly",
     ),
     "polytope": (
-        "GeneralizedPermutahedron", "gp_from_inversions", "gp_from_segment",
-        "hull_contains", "hull_vertices", "is_m_convex", "is_snp",
+        "GeneralizedPermutahedron", "gp_from_inversions", "hull_contains",
+        "hull_vertices", "is_m_convex", "is_snp",
         "m_convex_certificate", "m_convex_failure", "newton_vertices_coeff1",
     ),
     "tiling": (
@@ -40,8 +40,7 @@ _EXPORTS = {
     ),
     "scnp": (
         "ConjectureReport", "ScnpVerdict", "is_scnp", "ps_support",
-        "support_table_above", "verify_ps_mconvex", "verify_scnp_pattern",
-        "verify_theorems",
+        "verify_ps_mconvex", "verify_scnp_pattern", "verify_theorems",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

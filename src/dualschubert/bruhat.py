@@ -97,11 +97,6 @@ def _require_below(u: Perm, w: Perm) -> tuple[Perm, Perm]:
     return u, w
 
 
-def trivial_chain(u: Perm) -> SaturatedChain:
-    """The length-0 chain from u to itself."""
-    return SaturatedChain((validate(u),), ())
-
-
 @lru_cache(maxsize=1 << 16)
 def _covers(v: Perm) -> tuple:
     """v's `up_covers`, computed once per process.

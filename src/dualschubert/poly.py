@@ -297,21 +297,6 @@ def global_weight(w: Perm) -> SparsePolynomial:
 # -- interval weight polynomials ---------------------------------------------
 
 
-def postnikov_stanley_chainsum(u: Perm, w: Perm) -> SparsePolynomial:
-    """Definitional form: average of chain weights over all chains of [u, w].
-
-    Sums chain_weight over enumerate_chains(u, w) and divides by r! where
-    r = length(w) - length(u).  Exponential in r; intended as the oracle
-    the dynamic program is checked against.
-    """
-    u, w = bruhat._require_below(u, w)
-    nvars = len(w) - 1
-    total = SparsePolynomial.zero(nvars)
-    for chain in bruhat.enumerate_chains(u, w):
-        total = total + chain_weight(chain)
-    return total * Fraction(1, factorial(length(w) - length(u)))
-
-
 def _count_table(u: Perm, w: Perm) -> dict[Perm, dict]:
     """Every v in [u, w] -> the sum of the chain weights of [u, v], as int terms.
 
@@ -386,7 +371,8 @@ def dual_schubert_table(n: int) -> dict[Perm, SparsePolynomial]:
     """All rank-n dual Schubert polynomials: the DP over [identity, w0].
 
     One pass in increasing length order costs what a single call for the
-    longest element would, so exhaustive rank sweeps use this.
+    longest element would; the acceptance gate and `perfbench`'s
+    baseline read a whole rank this way.
     """
     table = _count_table(identity(n), longest_element(n))
     return {v: _read_out(c, length(v), n - 1) for v, c in table.items()}

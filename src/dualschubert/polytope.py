@@ -42,7 +42,7 @@ from itertools import permutations, product
 from operator import add, sub
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .perm import Perm, PositionPair, inversions, validate
+from .perm import Perm, inversions, validate
 from .poly import ExponentVector, SparsePolynomial, global_weight
 
 LatticePoint = tuple[int, ...]
@@ -419,18 +419,6 @@ class GeneralizedPermutahedron:
     def from_json_dict(cls, d: Mapping) -> "GeneralizedPermutahedron":
         z = {_parse_subset_key(k): int(v) for k, v in d["z"].items()}
         return cls(int(d["nvars"]), z)
-
-
-def gp_from_segment(seg: PositionPair, nvars: int) -> GeneralizedPermutahedron:
-    """The segment simplex conv{e_a, ..., e_{b-1}} as a support-number table:
-    z_I = 1 exactly when I contains all of {a, ..., b-1}."""
-    a, b = seg
-    if not (1 <= a < b <= nvars + 1):
-        raise ValueError(f"segment ({a}, {b}) out of range for {nvars} vars")
-    cells = frozenset(range(a, b))
-    return GeneralizedPermutahedron(
-        nvars, {s: int(cells <= s) for s in _mask_subsets(nvars)}
-    )
 
 
 def gp_from_inversions(w: Perm) -> GeneralizedPermutahedron:

@@ -19,8 +19,8 @@ floors[x] + step == floors[v].
 
 Supports come from `poly`'s key-set fold, `_key_table`, which tests pin
 against a set-union dynamic program and both coefficient folds.  It serves
-`ps_support` (hence `is_scnp`), `support_table_above` and the ps-mconvex
-unit, which reads only sizes; no paper-theorems process builds a table.
+`ps_support` (hence `is_scnp`) and the ps-mconvex unit, which reads only
+sizes; no paper-theorems process builds a table.
 
 Label counts and floors are packed ints, one field per subset of 1..n-1,
 2^(n-1) of them.  `_steps` holds each label's packed 0/1 counts and says why
@@ -72,10 +72,10 @@ functions that use them, so a command loads only what it runs.  The
 scnp-pattern unit needs `perm`, `bruhat` and this module alone; the
 ps-mconvex unit adds `poly` (the key-set fold) and `polytope` (point
 counts), and the paper-theorems unit `poly`, `polytope` and `tiling`;
-`ps_support`, `support_table_above` and `is_scnp` load `poly`, and
-`is_scnp` `polytope` too.  `SWEEPS` names each mode's modules, and `_sweep`
-imports them before it starts any worker: a worker that imported them
-itself would compile them during its first unit.
+`ps_support` and `is_scnp` load `poly`, and `is_scnp` `polytope` too.
+`SWEEPS` names each mode's modules, and `_sweep` imports them before it
+starts any worker: a worker that imported them itself would compile them
+during its first unit.
 """
 
 from __future__ import annotations
@@ -201,20 +201,6 @@ def ps_support(u: Perm, w: Perm) -> frozenset:
             f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
         )
     return frozenset(map(_unpacker(len(u) - 1), _key_table(u, w)[w]))
-
-
-def support_table_above(u: Perm) -> dict[Perm, frozenset]:
-    """ps_support(u, v) for every v above u in its symmetric group.
-
-    Each packed monomial is read back once, and its tuple is shared by every
-    support that holds it.
-    """
-    from .poly import _key_table, _unpacker
-
-    u = validate(u)
-    unpack = lru_cache(maxsize=None)(_unpacker(len(u) - 1))
-    table = _key_table(u, longest_element(len(u)))
-    return {v: frozenset(map(unpack, keys)) for v, keys in table.items()}
 
 
 # -- the single-chain decision -------------------------------------------------

@@ -3,7 +3,10 @@
 Everything here is deliberately naive: covers by trying every transposition,
 order relations by BFS closure, matchings by trying every pairing, hulls by
 Caratheodory enumeration over exact linear solves, dominant chains by a
-search over lattice-point sets or over packed label counts.  Slow but
+search over lattice-point sets or over packed label counts.  Two routes are
+the paper's definitions: `postnikov_stanley_chainsum` averages the weight of
+every chain of [u, w], and `gp_from_segment` builds a label's segment simplex
+as support numbers, whose Minkowski sums give `gp_from_inversions`.  Slow but
 obviously correct, which is the point.
 """
 
@@ -13,21 +16,32 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import factorial
 from operator import sub
+from types import MappingProxyType
 
+from dualschubert import bruhat
 from dualschubert.bruhat import SaturatedChain, interval_elements
 from dualschubert.perm import (
+    Perm,
+    PositionPair,
     apply_t,
     bruhat_leq,
     contains_pattern,
     down_covers,
     format_perm,
+    length,
     longest_element,
     parse_perm,
     up_covers,
 )
-from dualschubert.poly import _count_table, _unpacker
-from dualschubert.polytope import _is_supermodular, _walk_bounds
+from dualschubert.poly import SparsePolynomial, _count_table, _unpacker, chain_weight
+from dualschubert.polytope import (
+    GeneralizedPermutahedron,
+    _is_supermodular,
+    _mask_subsets,
+    _walk_bounds,
+)
 from dualschubert.scnp import UPPER_PATTERN, _steps
 
 
@@ -228,18 +242,32 @@ def minkowski_support(w):
     return points
 
 
+def gp_from_segment(seg: PositionPair, nvars: int) -> GeneralizedPermutahedron:
+    """The segment simplex conv{e_a, ..., e_{b-1}} as a support-number table:
+    z_I = 1 exactly when I contains all of {a, ..., b-1}."""
+    a, b = seg
+    if not (1 <= a < b <= nvars + 1):
+        raise ValueError(f"segment ({a}, {b}) out of range for {nvars} vars")
+    cells = frozenset(range(a, b))
+    return GeneralizedPermutahedron(
+        nvars, {s: int(cells <= s) for s in _mask_subsets(nvars)}
+    )
+
+
+@lru_cache(maxsize=None)
 def support_table_by_union(u):
     """Support of [u, v] for every v >= u, by a set-union DP over brute-force covers.
 
     Pushes each support up every cover in increasing length order: the
     support of [u, v] is the union, over covers x < v above u with label
     (a, b), of the support of [u, x] plus the segment {e_a, ..., e_{b-1}}.
+    Built once per u and shared, so it is returned read-only.
     """
     table = {u: frozenset({(0,) * (len(u) - 1)})}
     for x in sorted(_upset(u), key=inversion_count):
         for (a, b), v in covers_bruteforce(x):
             table[v] = table.get(v, frozenset()) | add_segment(table[x], a, b)
-    return table
+    return MappingProxyType(table)
 
 
 def count_table_by_tuples(u):
@@ -258,6 +286,21 @@ def count_table_by_tuples(u):
                     k = e[:i] + (e[i] + 1,) + e[i + 1:]
                     out[k] = out.get(k, 0) + c
     return table
+
+
+def postnikov_stanley_chainsum(u: Perm, w: Perm) -> SparsePolynomial:
+    """Definitional form: average of chain weights over all chains of [u, w].
+
+    Sums chain_weight over enumerate_chains(u, w) and divides by r! where
+    r = length(w) - length(u).  Exponential in r; intended as the oracle
+    the dynamic program is checked against.
+    """
+    u, w = bruhat._require_below(u, w)
+    nvars = len(w) - 1
+    total = SparsePolynomial.zero(nvars)
+    for chain in bruhat.enumerate_chains(u, w):
+        total = total + chain_weight(chain)
+    return total * Fraction(1, factorial(length(w) - length(u)))
 
 
 def floors_by_tuples(u, sets):

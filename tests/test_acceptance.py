@@ -30,7 +30,6 @@ from dualschubert import (
     is_snp,
     multiset_dominates,
     newton_vertices_coeff1,
-    postnikov_stanley_chainsum,
     postnikov_stanley_dp,
     tiling_vertex_list,
     verify_ps_mconvex,
@@ -39,7 +38,11 @@ from dualschubert import (
 )
 from dualschubert.tiling import RectTiling, build_diagram, tiling_vertex
 
-from oracles import dominates_bruteforce, tilings_bruteforce
+from oracles import (
+    dominates_bruteforce,
+    postnikov_stanley_chainsum,
+    tilings_bruteforce,
+)
 
 
 @contextmanager

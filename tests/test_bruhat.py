@@ -23,7 +23,6 @@ from dualschubert import (
     longest_element,
     multiset_dominates,
     parse_perm,
-    trivial_chain,
     up_covers,
 )
 from dualschubert import bruhat
@@ -69,7 +68,7 @@ def test_chain_validation_rejects_shape_mismatch():
 
 
 def test_trivial_chain():
-    c = trivial_chain((2, 1, 3))
+    c = SaturatedChain(((2, 1, 3),), ())
     assert c.start == c.end == (2, 1, 3)
     assert len(c) == 0
     assert generating_multiset(c) == Counter()

@@ -21,10 +21,9 @@ from dualschubert import (
     inversions,
     length,
     longest_element,
-    postnikov_stanley_chainsum,
     postnikov_stanley_dp,
+    ps_support,
     segment_poly,
-    trivial_chain,
 )
 from dualschubert.poly import (
     SparsePolynomial,
@@ -36,7 +35,11 @@ from dualschubert.poly import (
     grevlex_key,
 )
 
-from oracles import count_table_by_tuples, support_table_by_union
+from oracles import (
+    count_table_by_tuples,
+    postnikov_stanley_chainsum,
+    support_table_by_union,
+)
 
 
 def poly(nvars, terms):
@@ -217,7 +220,7 @@ def test_segment_terms_match_generic_product():
 
 
 def test_chain_weight_fixtures():
-    assert chain_weight(trivial_chain((2, 1, 3))) == SparsePolynomial.one(2)
+    assert chain_weight(SaturatedChain(((2, 1, 3),), ())) == SparsePolynomial.one(2)
     c = SaturatedChain(
         ((2, 1, 3), (3, 1, 2), (3, 2, 1)), ((1, 3), (2, 3))
     )
@@ -314,14 +317,37 @@ def unpacked_key_table(u):
 
 
 def test_key_table_matches_union_oracle_s5():
-    for u in all_perms(5):
-        assert unpacked_key_table(u) == support_table_by_union(u)
+    for n in range(1, 6):
+        for u in all_perms(n):
+            assert unpacked_key_table(u) == support_table_by_union(u)
 
 
-@pytest.mark.parametrize("key", ["123456", "214365", "345612"])
+@pytest.mark.parametrize("key", ["123456", "132456", "214365", "345612"])
 def test_key_table_matches_union_oracle_rank6(key):
     u = tuple(map(int, key))
     assert unpacked_key_table(u) == support_table_by_union(u)
+
+
+def assert_key_table_matches_pointwise(u):
+    """The fold over [u, w0] gives every v above u, and at each v the
+    support that `ps_support`'s fold over [u, v] gives."""
+    table = unpacked_key_table(u)
+    assert set(table) == {w for w in all_perms(len(u)) if bruhat_leq(u, w)}
+    for w, supp in table.items():
+        assert supp == ps_support(u, w)
+
+
+def test_key_table_matches_ps_support_pointwise_s5():
+    for n in range(1, 6):
+        for u in all_perms(n):
+            assert_key_table_matches_pointwise(u)
+
+
+# 123456 and 132456 take 2.5 and 2.1 CPU-s pointwise; the union oracle
+# checks their whole tables
+@pytest.mark.parametrize("key", ["214365", "345612"])
+def test_key_table_matches_ps_support_pointwise_rank6(key):
+    assert_key_table_matches_pointwise(tuple(map(int, key)))
 
 
 @pytest.mark.parametrize("u", [(2, 1, 3, 4), (1, 3, 2, 4, 5), (2, 1, 4, 3, 6, 5)])

@@ -16,7 +16,6 @@ from dualschubert import (
     dual_schubert_table,
     global_weight,
     gp_from_inversions,
-    gp_from_segment,
     hull_contains,
     hull_vertices,
     inversions,
@@ -31,15 +30,16 @@ from dualschubert import (
 from dualschubert import polytope, scnp
 from dualschubert.poly import SparsePolynomial, _unpacker
 from dualschubert.polytope import _exchange_failure, _snp_by_hull
-from dualschubert.scnp import support_table_above
 from dualschubert.tiling import vertices_via_tilings
 
 from oracles import (
     base_points_by_recursion,
     base_size_by_walk,
+    gp_from_segment,
     hull_contains_bruteforce,
     minkowski_support,
     snp_bruteforce,
+    support_table_by_union,
 )
 
 
@@ -427,7 +427,7 @@ def test_base_size_is_zero_off_supermodular_floors():
 def test_certificate_matches_exchange_loop_on_rank5_interval_supports():
     sizes = set()
     for u in all_perms(5):
-        for supp in support_table_above(u).values():
+        for supp in support_table_by_union(u).values():
             failure = _exchange_failure(supp)
             assert failure is None
             assert m_convex_certificate(supp) is not None

@@ -32,7 +32,6 @@ from dualschubert import (
     parse_perm,
     postnikov_stanley_dp,
     ps_support,
-    support_table_above,
     up_covers,
     verify_ps_mconvex,
     verify_scnp_pattern,
@@ -71,21 +70,6 @@ def test_upper_pattern_is_the_complement_of_the_lower():
 def test_ps_support_matches_polynomial_route_s4():
     for u, w in comparable_pairs(4):
         assert ps_support(u, w) == postnikov_stanley_dp(u, w).support()
-
-
-def test_support_table_above_matches_union_oracle_s5():
-    for u in all_perms(5):
-        assert support_table_above(u) == support_table_by_union(u)
-
-
-def test_support_table_above_matches_pointwise():
-    u = (2, 1, 3, 4)
-    table = support_table_above(u)
-    assert set(table) == {
-        w for w in all_perms(4) if bruhat_leq(u, w)
-    }
-    for w, supp in table.items():
-        assert supp == ps_support(u, w)
 
 
 def test_is_scnp_interval_fixture():
@@ -186,7 +170,7 @@ def reference_unit(table, holds):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_count_route_matches_set_oracle(n):
     for u in all_perms(n):
-        table = support_table_above(u)
+        table = support_table_by_union(u)
         covers, floors, pending = scnp._dominance_fold(u)
         assert floors.keys() == table.keys()
         holds = {}
@@ -209,7 +193,7 @@ def test_count_route_matches_set_oracle(n):
 @pytest.mark.parametrize("key", ["132456", "214365"])
 def test_floor_unit_matches_reference_rank6(key):
     u = parse_perm(key)
-    table = support_table_above(u)
+    table = support_table_by_union(u)
     holds = {v: scnp._scnp_decide(u, v, target).holds for v, target in table.items()}
     reference = reference_unit(table, holds)
     assert scnp._run_unit("scnp-pattern", 6, key) == reference
@@ -217,7 +201,7 @@ def test_floor_unit_matches_reference_rank6(key):
 
 def test_count_route_matches_set_oracle_rank6_sample():
     u = (1, 3, 2, 4, 5, 6)
-    table = support_table_above(u)
+    table = support_table_by_union(u)
     covers, floors, _ = scnp._dominance_fold(u)
 
     def greedy_support(w):
@@ -270,7 +254,7 @@ def test_dominance_fold_leaves_a_tight_witness(n):
     # from each dominant v, tight covers from dominant x lead back to u
     steps = scnp._steps(n)[0]
     for u in all_perms(n):
-        table = support_table_above(u)
+        table = support_table_by_union(u)
         covers, floors, pending = scnp._dominance_fold(u)
         dominant = covers.keys() - set(pending)
         for v in dominant:
@@ -313,7 +297,7 @@ def test_packed_floor_fold_matches_tuple_oracle_rank6(key):
 
 def certificate_record(u):
     """The ps-mconvex unit record from each support's own certificate."""
-    table = support_table_above(u)
+    table = support_table_by_union(u)
     fails = [v for v in sorted(table, key=lambda p: (length(p), p))
              if m_convex_failure(table[v]) is not None]
     return {"pairs": len(table), "fails": [format_perm(v) for v in fails]}
@@ -323,7 +307,7 @@ def certificate_record(u):
 def test_subset_floor_unit_matches_certificate(n):
     for u in all_perms(n):
         covers, floors, _ = scnp._dominance_fold(u)
-        table = support_table_above(u)
+        table = support_table_by_union(u)
         assert covers.keys() == floors.keys() == table.keys()
         for v, supp in table.items():
             z = unpacked(floors[v], n)
@@ -335,7 +319,7 @@ def test_subset_floor_unit_matches_certificate(n):
 def test_subset_floor_unit_matches_certificate_rank6(key):
     u = parse_perm(key)
     _, floors, _ = scnp._dominance_fold(u)
-    for v, supp in support_table_above(u).items():
+    for v, supp in support_table_by_union(u).items():
         z = unpacked(floors[v], 6)
         assert list(z) == m_convex_certificate(supp)._masks()
     assert scnp._run_unit("ps-mconvex", 6, key) == certificate_record(u)
@@ -420,8 +404,8 @@ def test_ps_mconvex_unit_fails_every_pair_whose_count_differs(monkeypatch):
         record = scnp._run_unit("ps-mconvex", 4, "1324")
     finally:
         scnp._floors_base_size.cache_clear()
-    fails = [format_perm(v) for v in sorted(support_table_above((1, 3, 2, 4)),
-                                            key=lambda v: (length(v), v))]
+    table = support_table_by_union((1, 3, 2, 4))
+    fails = [format_perm(v) for v in sorted(table, key=lambda v: (length(v), v))]
     assert record == {"pairs": 20, "fails": fails}
 
 
@@ -591,7 +575,7 @@ def test_verify_theorems_small():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_theorem_floors_match_the_support_table(n):
     floors, pending = scnp._theorem_floors(n)
-    supports = support_table_above(identity(n))
+    supports = support_table_by_union(identity(n))
     assert floors.keys() == supports.keys()
     for w, supp in supports.items():
         assert floors[w] == packed_floors(supp, n)
@@ -1049,7 +1033,7 @@ def test_report_json_and_summary():
 def test_support_table_route_matches_dual_table():
     for n in (4, 5):
         table = dual_schubert_table(n)
-        supports = support_table_above(identity(n))
+        supports = support_table_by_union(identity(n))
         assert supports.keys() == table.keys()
         for w, f in table.items():
             assert supports[w] == f.support()
