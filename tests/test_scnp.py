@@ -72,6 +72,17 @@ def test_ps_support_matches_polynomial_route_s4():
         assert ps_support(u, w) == postnikov_stanley_dp(u, w).support()
 
 
+def test_support_table_above_matches_union_oracle_s5():
+    # the key-set fold over the dominance fold's covers, as the ps-mconvex
+    # unit runs it, gives the whole support table above u
+    for u in all_perms(5):
+        covers, _, _ = scnp._dominance_fold(u)
+        table = poly._key_table(u, (5, 4, 3, 2, 1), covers)
+        unpack = _unpacker(4)
+        supports = {v: frozenset(map(unpack, keys)) for v, keys in table.items()}
+        assert supports == support_table_by_union(u)
+
+
 def test_is_scnp_interval_fixture():
     v = is_scnp((2, 1, 3), (3, 2, 1))
     assert v.holds
