@@ -157,22 +157,33 @@ def interval_elements(u: Perm, w: Perm) -> frozenset[Perm]:
     return frozenset(interval_covers(u, w))
 
 
-def _interval_fold(u: Perm, w: Perm, one, step, covers=None) -> dict:
+def _interval_fold(u: Perm, w: Perm, one, step, covers=None) -> Iterator[tuple]:
     """Cover-split fold over [u, w]: split each chain at its last cover.
 
-    Runs in the covers' (length, v) order: table[u] = one, and for every other v
-    in the interval, table[v] = step(v, [(table[v2], label) for each cover
-    v2 < v in [u, w]]).  Callers check u <= w first, and pass `covers` when
-    they already hold interval_covers(u, w).
+    Yields (v, value) in the covers' (length, v) order: u's value is one, and
+    every other v's is step(v, [(value of v2, label) for each cover v2 < v in
+    [u, w]]).  Callers check u <= w first, and pass `covers` when they
+    already hold interval_covers(u, w), or any down-closed part of it.
+
+    It holds the values of two lengths only: the one it is building and the
+    one below.  That is exact because Bruhat order is graded: every
+    down-cover of v has length length(v) - 1.  So v starts a new length
+    exactly when its first down-cover was built in the current one, and from
+    then on nothing reads the length below that.  A caller keeps what it reads.
     """
     # Private so that tracers wrapping the public API book each step's work
     # to the calling layer, not to this one.
     covers = interval_covers(u, w) if covers is None else covers
-    table = {u: one}
+    below_built, built = {}, {u: one}  # values of the length below, and of this one
+    del one  # held in `built` alone, so that it is freed two lengths on
+    yield u, built[u]
     for v, below in covers.items():
-        if v != u:
-            table[v] = step(v, [(table[v2], lab) for v2, lab in below])
-    return table
+        if v == u:
+            continue
+        if below[0][0] in built:  # v is the first of the next length
+            below_built, built = built, {}
+        built[v] = value = step(v, [(below_built[x], lab) for x, lab in below])
+        yield v, value
 
 
 def enumerate_chains(u: Perm, w: Perm) -> Iterator[SaturatedChain]:

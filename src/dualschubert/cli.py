@@ -364,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget in seconds; exceeding it yields a"
                         " partial, resumable report; an in-process run"
                         " (--jobs 1, or a rank that runs in one process) first"
-                        " finishes the unit it is running, up to about 8 s at"
-                        " rank 7")
+                        " finishes the unit it is running, up to about 4 s at"
+                        " rank 7 and minutes at rank 8")
     p.add_argument("--checkpoint", default=None,
                    help="write resume state to this file before the first"
                         " unit, at most once a second while units finish,"

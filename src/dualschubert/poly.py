@@ -22,7 +22,10 @@ The same cover-split fold has a second step, for supports.  Every
 coefficient is positive, so nothing cancels: the support of a sum is the
 union of the supports, and a segment product shifts each monomial by each of
 the segment's variables.  `_key_table` folds those key sets with no
-coefficients; `_count_table` is for coefficients only.
+coefficients; `_count_table` is for coefficients only.  Both stream each v
+with its value in (length, v) order and hold two lengths at once (Bruhat
+order is graded, so a step reads only the length below); each caller keeps
+what it reads: the top element alone, or every polynomial read out.
 
 Inside those products a monomial is one int, not a tuple: the exponent of x_i
 sits in bits [W(i-1), Wi), so multiplying by x_i adds 1 << W(i-1).  In S_n the
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import bruhat
 from .perm import (
@@ -297,8 +300,10 @@ def global_weight(w: Perm) -> SparsePolynomial:
 # -- interval weight polynomials ---------------------------------------------
 
 
-def _count_table(u: Perm, w: Perm) -> dict[Perm, dict]:
-    """Every v in [u, w] -> the sum of the chain weights of [u, v], as int terms.
+def _count_table(u: Perm, w: Perm) -> Iterator[tuple[Perm, dict]]:
+    """Each v in [u, w], with the sum of the chain weights of [u, v] as int
+    terms, streamed in (length, v) order: the fold holds two lengths at once
+    (`bruhat._interval_fold`), and the caller keeps what it reads.
 
     Keys are packed monomials (see the module docstring; read them back with
     `_unpacker`): one int per monomial, W = `_field_width` bits per variable,
@@ -316,13 +321,16 @@ def _count_table(u: Perm, w: Perm) -> dict[Perm, dict]:
     return bruhat._interval_fold(u, w, {0: 1}, step)
 
 
-def _key_table(u: Perm, w: Perm, covers=None) -> dict[Perm, set]:
-    """Every v in [u, w] -> the support of [u, v], as a set of packed monomials.
+def _key_table(u: Perm, w: Perm, covers=None) -> Iterator[tuple[Perm, set]]:
+    """Each v in [u, w], with the support of [u, v] as a set of packed
+    monomials, streamed as `_count_table` streams.
 
     The keys of `_count_table`, folded without coefficients: the support of
     [u, v] is the union, over covers v' < v in [u, w] with label (a, b), of
     the support of [u, v'] shifted by each of x_a, ..., x_{b-1}.  Pass
-    `covers` when interval_covers(u, w) is already at hand.
+    `covers` when interval_covers(u, w) is already at hand, or any down-closed
+    part of it: the fold then runs over that part alone, each v's down-covers
+    being all in it.
     """
     width = _field_width(len(w) - 1)
 
@@ -354,7 +362,9 @@ def postnikov_stanley_dp(u: Perm, w: Perm) -> SparsePolynomial:
     order (`_count_table`).  The polynomial is C(w) / (length(w) - length(u))!.
     """
     u, w = bruhat._require_below(u, w)
-    return _read_out(_count_table(u, w)[w], length(w) - length(u), len(w) - 1)
+    for _, counts in _count_table(u, w):  # w comes last
+        pass
+    return _read_out(counts, length(w) - length(u), len(w) - 1)
 
 
 def dual_schubert(w: Perm) -> SparsePolynomial:
@@ -371,8 +381,11 @@ def dual_schubert_table(n: int) -> dict[Perm, SparsePolynomial]:
     """All rank-n dual Schubert polynomials: the DP over [identity, w0].
 
     One pass in increasing length order costs what a single call for the
-    longest element would; the acceptance gate and `perfbench`'s
+    longest element would, and each polynomial is read out as the fold
+    streams it; the acceptance gate and `perfbench`'s
     baseline read a whole rank this way.
     """
-    table = _count_table(identity(n), longest_element(n))
-    return {v: _read_out(c, length(v), n - 1) for v, c in table.items()}
+    return {
+        v: _read_out(c, length(v), n - 1)
+        for v, c in _count_table(identity(n), longest_element(n))
+    }

@@ -20,7 +20,10 @@ floors[x] + step == floors[v].
 Supports come from `poly`'s key-set fold, `_key_table`, which tests pin
 against a set-union dynamic program and both coefficient folds.  It serves
 `ps_support` (hence `is_scnp`) and the ps-mconvex unit, which reads only
-sizes; no paper-theorems process builds a table.
+sizes; no paper-theorems process builds a table.  Every fold streams and
+holds two lengths at once (`bruhat._interval_fold`): `ps_support` keeps
+only the top element's keys, the unit only its non-dominant v's sizes, and
+`_dominance_fold` only each v's floors and the non-dominant v.
 
 Label counts and floors are packed ints, one field per subset of 1..n-1,
 2^(n-1) of them.  `_steps` holds each label's packed 0/1 counts and says why
@@ -200,7 +203,9 @@ def ps_support(u: Perm, w: Perm) -> frozenset:
         raise ValueError(
             f"{format_perm(u)} is not below {format_perm(w)} in Bruhat order"
         )
-    return frozenset(map(_unpacker(len(u) - 1), _key_table(u, w)[w]))
+    for _, keys in _key_table(u, w):  # w comes last
+        pass
+    return frozenset(map(_unpacker(len(u) - 1), keys))
 
 
 # -- the single-chain decision -------------------------------------------------
@@ -311,9 +316,12 @@ def _dominance_fold(u: Perm) -> tuple[dict, dict, list[Perm]]:
         floor = reduce(least, [z for z, _ in sums])
         return floor, any(dominant and z == floor for z, dominant in sums)
 
-    table = bruhat._interval_fold(u, w, (0, True), step, covers)
-    floors = {v: z for v, (z, _) in table.items()}
-    return covers, floors, [v for v, (_, dominant) in table.items() if not dominant]
+    floors, pending = {}, []
+    for v, (z, dominant) in bruhat._interval_fold(u, w, (0, True), step, covers):
+        floors[v] = z
+        if not dominant:
+            pending.append(v)
+    return covers, floors, pending
 
 
 def is_scnp(u: Perm, w: Perm) -> ScnpVerdict:
@@ -357,7 +365,8 @@ def _unit_ps_mconvex(n: int, key: str) -> dict:
     One dominance fold gives each v its z_T on every subset and its
     verdict.  Only the v with no dominant chain are counted (module
     docstring): the key-set fold runs over their down-closure, which is
-    empty when every v is dominant.  Of the 2,053 pairs a rank-5 sweep runs,
+    empty when every v is dominant, and the unit reads each one's size as
+    the fold streams.  Of the 2,053 pairs a rank-5 sweep runs,
     42 are counted, with 26 distinct floor vectors; of its 53,527 rank-6
     pairs, 2,896 with 837.  Vectors repeat across units, so the point count
     of P(z_T) comes from a per-process memo (`_floors_base_size`).
@@ -366,14 +375,14 @@ def _unit_ps_mconvex(n: int, key: str) -> dict:
 
     u = parse_perm(key)
     covers, floors, pending = _dominance_fold(u)
-    closure = set(pending)
+    todo, closure = set(pending), set(pending)
     for v in reversed(covers):
         if v in closure:
             closure.update(x for x, _ in covers[v])
     part = {v: below for v, below in covers.items() if v in closure}
-    supports = _key_table(u, longest_element(n), part)
-    fails = [v for v in pending if _floors_base_size(n, floors[v]) != len(supports[v])]
-    return {"pairs": len(covers), "fails": [format_perm(v) for v in fails]}
+    fails = [format_perm(v) for v, keys in _key_table(u, longest_element(n), part)
+             if v in todo and _floors_base_size(n, floors[v]) != len(keys)]
+    return {"pairs": len(covers), "fails": fails}
 
 
 def _unit_scnp_pattern(n: int, key: str) -> dict:
@@ -518,11 +527,16 @@ _CHECKPOINT_EVERY_S = 1.0
 
 
 def _write_checkpoint(path, text: str) -> None:
-    """Replace the checkpoint atomically; a crash keeps the previous one."""
+    """Replace the checkpoint atomically.  The rename means a process crash
+    keeps the previous checkpoint; the fsync before it, that after a machine
+    crash the renamed file is not empty."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
@@ -538,7 +552,9 @@ def _read_token(
     Counts must be ints, not bools (True == 1), and elapsed a non-negative
     number that is finite as a float: Python's json reads NaN and Infinity.
     The mode and rank must be this sweep's, every unit a key of `partner`,
-    and in a mirrored sweep, which conjugates fails, every fail one too.
+    and in a mirrored sweep, which conjugates fails, every fail one too.  In
+    a sweep that is not mirrored every fail is a record of its own unit, as
+    `_unit_theorems` writes them: a string kind and w, the unit's key.
     """
     if token is None:
         return {}, 0.0
@@ -571,6 +587,11 @@ def _read_token(
         isinstance(v, str) and v in partner for r in done.values() for v in r["fails"]
     ):
         raise ValueError(f"resume token lists fails that are not permutations of S_{n}")
+    if not mirrored and not all(
+        isinstance(f, dict) and f.keys() == {"kind", "w"} and type(f["kind"]) is str
+        and f["w"] == key for key, r in done.items() for f in r["fails"]
+    ):
+        raise ValueError("resume token lists fails that are not records of their units")
     return dict(done), float(elapsed)
 
 
@@ -621,8 +642,12 @@ def _sweep(
     then when a unit finishes `_CHECKPOINT_EVERY_S` or more after the last
     write, and on every way out: complete, budget spent, or any exception,
     including KeyboardInterrupt, which a failed final write does not hide.
-    So only a hard kill (SIGKILL, out of memory) loses finished units: those
-    that finished less than `_CHECKPOINT_EVERY_S` after the last write.
+    Each write goes to a temporary file, is fsynced, and is renamed over the
+    checkpoint: the rename keeps the previous checkpoint whole if this
+    process crashes mid-write, and the fsync keeps the renamed file's text
+    if the machine crashes.  So only a hard kill (SIGKILL, out of memory)
+    loses finished units: those that finished less than
+    `_CHECKPOINT_EVERY_S` after the last write.
     Once the budget has run out no further result is awaited and the report
     is partial, with a resume token; an in-process run first finishes the
     unit it is running.  A worker that dies raises RuntimeError naming its

@@ -387,7 +387,7 @@ def ps_mconvex_record_by_counts(n, key):
     integer points, each of them listed one by one.
     """
     u, d = parse_perm(key), n - 1
-    counts = _count_table(u, longest_element(n))
+    counts = dict(_count_table(u, longest_element(n)))
     unpack = _unpacker(d)
 
     def subset_sums(t):

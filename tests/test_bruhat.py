@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -140,6 +141,25 @@ def test_interval_covers_matches_down_walk(n):
 @pytest.mark.parametrize("key", ["123456", "214365"])
 def test_interval_covers_matches_down_walk_rank6(key):
     assert_same_walk(parse_perm(key), longest_element(6))
+
+
+class Box:
+    """A fold value that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_interval_fold_holds_two_lengths():
+    # Bruhat order is graded, so once the fold builds length l nothing reads
+    # a value of length l - 2 or less, and the fold holds none of them
+    refs = []  # (length of v, weak reference to v's value)
+    seen = []
+    for v, value in bruhat._interval_fold(identity(5), longest_element(5), Box(),
+                                          lambda v, below: Box()):
+        refs.append((length(v), weakref.ref(value)))
+        seen.append(v)
+        assert all(ref() is None for l, ref in refs if l <= length(v) - 2)
+    assert seen == list(interval_covers(identity(5), longest_element(5)))
 
 
 def test_enumerate_chains_s3_fixture():

@@ -382,6 +382,35 @@ def test_verify_resume_outside_the_group_is_usage_error(capsys, tmp_path, done, 
     assert err.startswith("error: resume token") and error in err
 
 
+@pytest.mark.parametrize(
+    "fails",
+    [[1, "x"], [{"kind": "support-mismatch"}], [{"kind": 7, "w": "12"}],
+     [{"kind": "support-mismatch", "w": "21"}],
+     [{"kind": "support-mismatch", "w": "12", "u": "12"}]],
+    ids=["not-records", "no-w", "non-string-kind", "another-units-w", "extra-field"],
+)
+def test_verify_theorems_resume_with_foreign_fails_is_usage_error(capsys, tmp_path, fails):
+    ckpt = tmp_path / "sweep.json"
+    ckpt.write_text(json.dumps({"mode": "paper-theorems", "n": 2, "elapsed": 0.0,
+                                "done": {"12": {"pairs": 1, "fails": fails}}}))
+    rc, _, err = run(
+        capsys, "verify", "--mode", "paper-theorems", "--n", "2", "--resume", str(ckpt)
+    )
+    assert rc == 2
+    assert err.startswith("error: resume token lists fails that are not records")
+
+
+def test_verify_theorems_resume_keeps_records_the_unit_could_write(capsys, tmp_path):
+    ckpt = tmp_path / "sweep.json"
+    record = {"kind": "support-mismatch", "w": "12"}
+    ckpt.write_text(json.dumps({"mode": "paper-theorems", "n": 2, "elapsed": 0.0,
+                                "done": {"12": {"pairs": 1, "fails": [record]}}}))
+    rc, out, _ = run(capsys, "verify", "--mode", "paper-theorems", "--n", "2",
+                     "--resume", str(ckpt), "--json")
+    assert rc == 1
+    assert json.loads(out)["counterexamples"] == [record]
+
+
 def test_verify_missing_resume_file_is_usage_error(capsys, tmp_path):
     rc, _, err = run(
         capsys,

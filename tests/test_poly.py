@@ -296,7 +296,7 @@ def test_support_equality_of_both_weight_routes_s4():
 
 def unpacked_count_table(u):
     unpack = _unpacker(len(u) - 1)
-    table = _count_table(u, longest_element(len(u)))
+    table = dict(_count_table(u, longest_element(len(u))))
     return {v: {unpack(e): c for e, c in terms.items()} for v, terms in table.items()}
 
 
@@ -312,7 +312,7 @@ def test_packed_count_table_matches_tuple_oracle_rank6(u):
 
 def unpacked_key_table(u):
     unpack = _unpacker(len(u) - 1)
-    table = _key_table(u, longest_element(len(u)))
+    table = dict(_key_table(u, longest_element(len(u))))
     return {v: frozenset(map(unpack, keys)) for v, keys in table.items()}
 
 
@@ -353,8 +353,8 @@ def test_key_table_matches_ps_support_pointwise_rank6(key):
 @pytest.mark.parametrize("u", [(2, 1, 3, 4), (1, 3, 2, 4, 5), (2, 1, 4, 3, 6, 5)])
 def test_key_table_holds_the_count_table_keys(u):
     w = longest_element(len(u))
-    counts = _count_table(u, w)
-    assert _key_table(u, w) == {v: set(terms) for v, terms in counts.items()}
+    counts = dict(_count_table(u, w))
+    assert dict(_key_table(u, w)) == {v: set(terms) for v, terms in counts.items()}
 
 
 @pytest.mark.parametrize("n", range(2, 8))

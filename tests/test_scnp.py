@@ -77,7 +77,7 @@ def test_support_table_above_matches_union_oracle_s5():
     # unit runs it, gives the whole support table above u
     for u in all_perms(5):
         covers, _, _ = scnp._dominance_fold(u)
-        table = poly._key_table(u, (5, 4, 3, 2, 1), covers)
+        table = dict(poly._key_table(u, (5, 4, 3, 2, 1), covers))
         unpack = _unpacker(4)
         supports = {v: frozenset(map(unpack, keys)) for v, keys in table.items()}
         assert supports == support_table_by_union(u)
@@ -782,6 +782,13 @@ def test_resume_rejects_mismatched_token():
         verify_scnp_pattern(5, resume=r.resume_token)
 
 
+def test_theorems_resume_rejects_fails_that_are_not_its_records():
+    token = {"mode": "paper-theorems", "n": 2, "elapsed": 0.0,
+             "done": {"12": {"pairs": 1, "fails": [1, "x"]}}}
+    with pytest.raises(ValueError, match="not records of their units"):
+        verify_theorems(2, resume=token)
+
+
 def test_checkpoint_file_round_trip(tmp_path):
     path = tmp_path / "sweep.json"
     partial = verify_ps_mconvex(3, budget=0, checkpoint_path=path)
@@ -1007,6 +1014,17 @@ def test_failed_checkpoint_write_keeps_previous_checkpoint(monkeypatch, tmp_path
         scnp._write_checkpoint(path, json.dumps(dict(old, elapsed=2.0)))
     assert json.loads(path.read_text()) == old
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
+def test_checkpoint_write_is_synced_before_its_rename(monkeypatch, tmp_path):
+    calls, fsync, replace = [], os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync") or fsync(fd))
+    monkeypatch.setattr(os, "replace",
+                        lambda src, dst: calls.append("replace") or replace(src, dst))
+    path = tmp_path / "sweep.json"
+    scnp._write_checkpoint(path, '{"done": {}}')
+    assert calls == ["fsync", "replace"]
+    assert path.read_text() == '{"done": {}}'
 
 
 def test_resumed_checkpoint_text_is_json_dumps_of_its_token(tmp_path):
