@@ -34,7 +34,6 @@ from .perm import (
     apply_t,
     bruhat_leq,
     format_perm,
-    length,
     longest_element,
     up_covers,
     validate,
@@ -50,11 +49,11 @@ class SaturatedChain(_Value):
         super().__init__(nodes, labels)
         if len(nodes) != len(labels) + 1:
             raise ValueError("chain needs exactly one label per step")
-        rank = length(validate(nodes[0]))
+        validate(nodes[0])
         for i, (a, b) in enumerate(labels):
-            prev, cur = nodes[i], nodes[i + 1]
-            rank += 1
-            if apply_t(prev, a, b) != cur or length(cur) != rank:
+            prev, cur = nodes[i], nodes[i + 1]  # the cover test of `up_covers`
+            if apply_t(prev, a, b) != cur or not prev[a - 1] < prev[b - 1] or any(
+                    prev[a - 1] < m < prev[b - 1] for m in prev[a:b - 1]):
                 raise ValueError(
                     f"step {i + 1} is not the cover"
                     f" {format_perm(prev)} t_({a},{b})"

@@ -237,6 +237,14 @@ def _unpacker(nvars: int, width: int | None = None):
     return lambda key: tuple(key >> s & mask for s in shifts)
 
 
+def _columns(keys, nvars: int) -> list[list[int]]:
+    """Packed monomials read back as exponent columns: per variable, its
+    exponent in each key, in the keys' order.  No tuple is built."""
+    width = _field_width(nvars)
+    mask = (1 << width) - 1
+    return [[key >> width * i & mask for key in keys] for i in range(nvars)]
+
+
 def _times_segment(terms: dict, a: int, b: int, out: dict, width: int) -> dict:
     """Add terms * (x_a + ... + x_{b-1}) into out, packed monomial -> int coefficient."""
     for i in range(a - 1, b - 1):

@@ -25,12 +25,17 @@ greedy points (Edmonds, "Submodular functions, matroids, and certain
 polyhedra", 1970).  S lies inside that polytope by the definition of z_S,
 so "S is every integer point" is a count: `_base_size` walks the points of
 the polytope of a supermodular z two coordinates short of the end, and the
-certificate compares that count with |S|.  `m_convex_certificate` checks
-this from z_S read off the points (`_subset_floors`), and the ps-mconvex
-sweep from the floors it folds and the size of a key set.  The certificate
+certificate compares that count with |S|.  One core, `_certificate`, checks
+this from S's coordinate columns: it reads z_S and the largest coordinate
+sum off them (`_subset_floors`) and returns z_S, or None.
+`m_convex_certificate` runs it on a point set, and the paper-theorems unit
+on the columns of its packed weight's keys, which it never turns into
+points unless the certificate fails; the ps-mconvex sweep makes the same
+count from the floors it folds and the size of a key set.  The certificate
 alone decides M-convexity; `is_snp` and the paper-theorems sweep try it
 before the simplex, and the exchange-pair loop runs only to name a rejected
-set's witness.
+set's witness.  One routine, `_greedy_points`, gives the greedy points, for
+`GeneralizedPermutahedron.vertices` and that unit alike.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from operator import add, sub
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .perm import Perm, inversions, validate
 from .poly import ExponentVector, SparsePolynomial, global_weight
@@ -307,24 +312,61 @@ def _base_size(z: Sequence[int], n: int) -> int:
     return walk(0, [0])
 
 
-def _subset_floors(pts: Collection[tuple], d: int) -> list[int]:
+def _subset_floors(coords: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """z(I) = min over the points of sum(p_i, i in I), for every subset I of
-    1..d by bitmask (`_mask_subsets`); z(empty) = 0.
+    1..d by bitmask (`_mask_subsets`), z(empty) = 0; and the largest sum of
+    a point's coordinates.  The points come as their d coordinate columns,
+    each listing the points in one order.
 
     Subsets grow by coordinates above their largest, with one list of the
-    points' sums per depth, so each z(I) costs one addition per point.
+    points' sums per depth, so each z(I) costs one addition per point; the
+    full set's list gives the largest sum too.
     """
-    coords = list(zip(*pts))
-    z = [0] * (1 << d)
+    d = len(coords)
+    full, z, top = (1 << d) - 1, [0] * (1 << d), 0
 
     def fill(mask: int, sums: list[int], start: int) -> None:
+        nonlocal top
         for k in range(start, d):
             grown = list(map(add, sums, coords[k]))
             z[mask | 1 << k] = min(grown)
+            if mask | 1 << k == full:
+                top = max(grown)
             fill(mask | 1 << k, grown, k + 1)
 
-    fill(0, [0] * len(pts), 0)
+    fill(0, [0] * len(coords[0]) if d else [], 0)
+    return z, top
+
+
+def _certificate(coords: Sequence[Sequence[int]]) -> list[int] | None:
+    """z_S by bitmask when the distinct points S, given as their coordinate
+    columns, pass the M-convexity certificate (the module docstring); None
+    when they do not.
+
+    They pass when they share one coordinate sum, which the least and
+    largest sums (`_subset_floors`) tell, and P(z_S) has as many integer
+    points as S (`_base_size`, 0 when z_S is not supermodular).  A point set
+    with no coordinates is one point, the empty tuple.
+    """
+    z, top = _subset_floors(coords)
+    size = len(coords[0]) if coords else 1
+    if top != z[-1] or _base_size(z, len(coords)) != size:
+        return None
     return z
+
+
+def _greedy_points(z: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
+    """The greedy point of z, by bitmask, for every order s of the n
+    coordinates: t_{s(k)} = z(s(1..k)) - z(s(1..k-1)).  When z is
+    supermodular these are exactly the vertices of P(z) (Edmonds 1970)."""
+    out = set()
+    for order in permutations(range(n)):
+        t, mask = [0] * n, 0
+        for k in order:
+            t[k] = z[mask | 1 << k] - z[mask]
+            mask |= 1 << k
+        out.add(tuple(t))
+    return frozenset(out)
 
 
 class GeneralizedPermutahedron:
@@ -400,14 +442,7 @@ class GeneralizedPermutahedron:
         n, z = self.nvars, self._masks()
         if not _is_supermodular(z, n):
             raise ValueError("the support numbers are not supermodular")
-        out = set()
-        for order in permutations(range(n)):
-            t, mask = [0] * n, 0
-            for k in order:
-                t[k] = z[mask | 1 << k] - z[mask]
-                mask |= 1 << k
-            out.add(tuple(t))
-        return frozenset(out)
+        return _greedy_points(z, n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -424,6 +459,11 @@ class GeneralizedPermutahedron:
 def gp_from_inversions(w: Perm) -> GeneralizedPermutahedron:
     """Support numbers z_I = number of inversions (a, b) of w with
     {a, ..., b-1} contained in I.
+
+    z is tight: it is the floor vector of its own integer points, z_I = min
+    over them of t(I).  Each indicator [{a, ..., b-1} inside I] is
+    supermodular, so z is, P(z) is an integral base polytope, and its greedy
+    vertices attain z_I for every I (Edmonds 1970).
 
     >>> gp_from_inversions((3, 2, 1)).z[frozenset({1, 2})]
     3
@@ -449,12 +489,13 @@ def m_convex_certificate(
     With z(I) = min over the points of sum(p_i, i in I) for every subset I,
     the points pass when they share one coordinate sum, z is supermodular,
     and the polytope P(z) has as many integer points as the set
-    (`_base_size`).  Why this is exact: P(z) is then an integral
-    base polytope, so its integer points, which are the set, are M-convex;
-    the set is every integer point of P(z), so conv(set) = P(z) and the set
-    has SNP; and the vertices of P(z) are its greedy points.  Conversely an
-    M-convex set is every integer point of its hull P(z) with z
-    supermodular, so it passes: None proves the set is not M-convex.
+    (`_certificate`, on the points' columns).  Why this is exact: P(z) is
+    then an integral base polytope, so its integer points, which are the
+    set, are M-convex; the set is every integer point of P(z), so conv(set)
+    = P(z) and the set has SNP; and the vertices of P(z) are its greedy
+    points.  Conversely an M-convex set is every integer point of its hull
+    P(z) with z supermodular, so it passes: None proves the set is not
+    M-convex.
 
     >>> sorted(m_convex_certificate({(2, 0), (1, 1), (0, 2)}).vertices())
     [(0, 2), (2, 0)]
@@ -462,10 +503,8 @@ def m_convex_certificate(
     True
     """
     pts, d = _points(points)
-    if len({sum(p) for p in pts}) != 1:
-        return None
-    z = _subset_floors(pts, d)
-    if _base_size(z, d) != len(pts):
+    z = _certificate(list(zip(*pts)))
+    if z is None:
         return None
     return GeneralizedPermutahedron(d, dict(zip(_mask_subsets(d), z)))
 

@@ -17,13 +17,11 @@ search no chain: one fold, `_dominance_fold`, gives each v its floors and
 marks [u, v] dominant when some cover x < v is dominant and tight:
 floors[x] + step == floors[v].
 
-Supports come from `poly`'s key-set fold, `_key_table`, which tests pin
-against a set-union dynamic program and both coefficient folds.  It serves
-`ps_support` (hence `is_scnp`) and the ps-mconvex unit, which reads only
-sizes; no paper-theorems process builds a table.  Every fold streams and
-holds two lengths at once (`bruhat._interval_fold`): `ps_support` keeps
-only the top element's keys, the unit only its non-dominant v's sizes, and
-`_dominance_fold` only each v's floors and the non-dominant v.
+Supports come from `poly`'s key-set fold, `_key_table`, for `ps_support`
+(hence `is_scnp`) and the ps-mconvex unit, which reads only sizes; no
+paper-theorems process builds a table, nor lists a point unless a
+certificate fails.  Every fold streams and holds two lengths at once
+(`bruhat._interval_fold`), and each caller keeps only what it reads.
 
 Label counts and floors are packed ints, one field per subset of 1..n-1,
 2^(n-1) of them.  `_steps` holds each label's packed 0/1 counts and says why
@@ -91,6 +89,7 @@ import time
 from contextlib import suppress
 from functools import lru_cache, reduce
 from importlib import import_module
+from operator import lt
 from pathlib import Path
 from typing import Callable
 
@@ -271,7 +270,7 @@ def _scnp_decide(u: Perm, w: Perm, target: frozenset) -> ScnpVerdict:
     from .polytope import _subset_floors
 
     steps = _steps(len(u))[0]
-    z = _pack(_subset_floors(target, len(u) - 1), len(u))
+    z = _pack(_subset_floors(list(zip(*target)))[0], len(u))
     g = greedy_chain(u, w)
     if sum(steps[lab] for lab in g.labels) == z:
         return ScnpVerdict(True, g, 1)
@@ -394,32 +393,32 @@ def _unit_theorems(n: int, key: str) -> dict:
     """The paper's claims for one w, each checked on its own route.
 
     The global weight is the packed product of w's inversion segments
-    (`poly._segment_terms`): S, its keys, must be the support T of [id, w].
-    On `_theorem_floors` that is exact: no dominant chain is a mismatch, as
-    the paper's greedy chain carries T; with one, T is every lattice point
-    of P(z_T), and a passing M-convexity certificate makes S every lattice
-    point of P(z_S), so S = T iff z_S = z_T; a failing one is recorded.  The
+    (`poly._segment_terms`); its keys S, read as exponent columns, pass the
+    M-convexity certificate with floors z_S (`polytope._certificate`) or
+    fail it.  S must be the support T of [id, w]: on `_theorem_floors`, no
+    dominant chain is a mismatch, as the paper's greedy chain carries T;
+    with one, T is every lattice point of P(z_T), and a passing certificate
+    makes S every lattice point of P(z_S), so S = T iff z_S = z_T.  The
     greedy chain from the identity to w must pass `is_greedy` and carry the
-    global weight; S must be SNP and every integer point of the inversion
-    polytope; tilings, coefficient-1 keys and the hull must agree on vertices.
+    global weight; S must be M-convex, SNP and every integer point of the
+    inversion polytope P(z_P); tilings, coefficient-1 keys and the hull must
+    agree on vertices.  Points are listed only when the certificate fails.
+    Otherwise the hull's vertices are z_S's greedy points, and S is P(z_P)'s
+    points iff z_S = z_P: each z is the floor vector of its polytope's
+    integer points, z_P by `polytope.gp_from_inversions` and z_S as S is
+    every integer point of P(z_S), and such z's with the same points agree.
     """
-    from .poly import _segment_terms, _unpacker
-    from .polytope import (
-        _snp_by_hull,
-        gp_from_inversions,
-        hull_vertices,
-        m_convex_certificate,
-    )
+    from .poly import _columns, _segment_terms, _unpacker
+    from .polytope import (_certificate, _greedy_points, _snp_by_hull,
+                           gp_from_inversions, hull_vertices)
     from .tiling import vertices_via_tilings
 
     w = parse_perm(key)
     fails: list[dict] = []
     gw = _segment_terms(sorted(inversions(w)), n - 1)
-    unpack = _unpacker(n - 1)
-    supp = frozenset(map(unpack, gw))
-    cert = m_convex_certificate(supp)  # also proves SNP and gives the vertices
+    z = _certificate(_columns(gw, n - 1))  # also proves SNP and gives the vertices
     floors, pending = _theorem_floors(n)
-    if w in pending or cert is not None and _pack(cert._masks(), n) != floors[w]:
+    if w in pending or z is not None and _pack(z, n) != floors[w]:
         fails.append({"kind": "support-mismatch", "w": key})
     e = identity(n)
     g = greedy_chain(e, w)
@@ -427,15 +426,21 @@ def _unit_theorems(n: int, key: str) -> dict:
         fails.append({"kind": "greedy-chain-not-greedy", "w": key})
     if _segment_terms(g.labels, n - 1) != gw:
         fails.append({"kind": "greedy-weight-mismatch", "w": key})
-    if cert is None:
+    unpack = _unpacker(n - 1)
+    if z is None:
+        supp = frozenset(map(unpack, gw))
         fails.append({"kind": "support-not-m-convex", "w": key})
-    if cert is None and not _snp_by_hull(supp):
-        fails.append({"kind": "support-not-snp", "w": key})
-    if gp_from_inversions(w).integer_points() != supp:
+        if not _snp_by_hull(supp):
+            fails.append({"kind": "support-not-snp", "w": key})
+        same_points = gp_from_inversions(w).integer_points() == supp
+        vh = hull_vertices(supp)
+    else:
+        same_points = gp_from_inversions(w)._masks() == z
+        vh = _greedy_points(z, n - 1)
+    if not same_points:
         fails.append({"kind": "polytope-points-mismatch", "w": key})
     vt = vertices_via_tilings(w)
     vc = frozenset(unpack(m) for m, c in gw.items() if c == 1)
-    vh = cert.vertices() if cert is not None else hull_vertices(supp)
     if not (vt == vc == vh):
         fails.append({"kind": "vertex-method-mismatch", "w": key})
     return {"pairs": 1, "fails": fails}
@@ -551,9 +556,11 @@ def _read_token(
 
     Counts must be ints, not bools (True == 1), and elapsed a non-negative
     number that is finite as a float: Python's json reads NaN and Infinity.
-    The mode and rank must be this sweep's, every unit a key of `partner`,
-    and in a mirrored sweep, which conjugates fails, every fail one too.  In
-    a sweep that is not mirrored every fail is a record of its own unit, as
+    The mode and rank must be this sweep's, every unit a key of `partner`.
+    In a mirrored sweep, which conjugates fails, a unit's fails are keys
+    too, as its unit writes them: each above the unit and not the unit, in
+    strictly increasing (length, v) order, so no two alike.  In a sweep that
+    is not mirrored every fail is a record of its own unit, as
     `_unit_theorems` writes them: a string kind and w, the unit's key.
     """
     if token is None:
@@ -583,10 +590,16 @@ def _read_token(
         raise ValueError("resume token does not match this sweep")
     if not done.keys() <= partner.keys():
         raise ValueError(f"resume token records units that are not permutations of S_{n}")
-    if mirrored and not all(
-        isinstance(v, str) and v in partner for r in done.values() for v in r["fails"]
-    ):
-        raise ValueError(f"resume token lists fails that are not permutations of S_{n}")
+
+    def as_written(key: str, fails: list) -> bool:
+        if not all(isinstance(v, str) and v in partner for v in fails):
+            return False
+        u, seq = parse_perm(key), [(length(v), v) for v in map(parse_perm, fails)]
+        return all(map(lt, seq, seq[1:])) and all(u != v and bruhat_leq(u, v) for _, v in seq)
+
+    if mirrored and not all(as_written(key, r["fails"]) for key, r in done.items()):
+        raise ValueError(f"resume token lists fails that are not permutations of S_{n}"
+                         " above their unit, distinct and in (length, v) order")
     if not mirrored and not all(
         isinstance(f, dict) and f.keys() == {"kind", "w"} and type(f["kind"]) is str
         and f["w"] == key for key, r in done.items() for f in r["fails"]

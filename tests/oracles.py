@@ -21,7 +21,7 @@ from operator import sub
 from types import MappingProxyType
 
 from dualschubert import bruhat
-from dualschubert.bruhat import SaturatedChain, interval_elements
+from dualschubert.bruhat import SaturatedChain, greedy_chain, interval_elements, is_greedy
 from dualschubert.perm import (
     Perm,
     PositionPair,
@@ -30,19 +30,32 @@ from dualschubert.perm import (
     contains_pattern,
     down_covers,
     format_perm,
+    identity,
+    inversions,
     length,
     longest_element,
     parse_perm,
     up_covers,
 )
-from dualschubert.poly import SparsePolynomial, _count_table, _unpacker, chain_weight
+from dualschubert.poly import (
+    SparsePolynomial,
+    _count_table,
+    _segment_terms,
+    _unpacker,
+    chain_weight,
+)
 from dualschubert.polytope import (
     GeneralizedPermutahedron,
     _is_supermodular,
     _mask_subsets,
+    _snp_by_hull,
     _walk_bounds,
+    gp_from_inversions,
+    hull_vertices,
+    m_convex_certificate,
 )
-from dualschubert.scnp import UPPER_PATTERN, _steps
+from dualschubert.scnp import UPPER_PATTERN, _pack, _steps, _theorem_floors
+from dualschubert.tiling import vertices_via_tilings
 
 
 def inversion_count(w):
@@ -405,6 +418,43 @@ def ps_mconvex_record_by_counts(n, key):
         if not (_is_supermodular(z, d) and size == len(points)):
             fails.append(format_perm(v))
     return {"pairs": len(counts), "fails": fails}
+
+
+def theorems_record_by_listing(n, key):
+    """The paper-theorems unit record of w = key by listing points: the
+    reference for `scnp._unit_theorems`, whose body it was.
+
+    The support is decoded as tuples and the certificate read off them; the
+    inversion polytope's integer points are listed and compared as a set,
+    and the vertices come from the certificate's polytope or the simplex.
+    """
+    w = parse_perm(key)
+    fails: list[dict] = []
+    gw = _segment_terms(sorted(inversions(w)), n - 1)
+    unpack = _unpacker(n - 1)
+    supp = frozenset(map(unpack, gw))
+    cert = m_convex_certificate(supp)  # also proves SNP and gives the vertices
+    floors, pending = _theorem_floors(n)
+    if w in pending or cert is not None and _pack(cert._masks(), n) != floors[w]:
+        fails.append({"kind": "support-mismatch", "w": key})
+    e = identity(n)
+    g = greedy_chain(e, w)
+    if not is_greedy(g, e, w):
+        fails.append({"kind": "greedy-chain-not-greedy", "w": key})
+    if _segment_terms(g.labels, n - 1) != gw:
+        fails.append({"kind": "greedy-weight-mismatch", "w": key})
+    if cert is None:
+        fails.append({"kind": "support-not-m-convex", "w": key})
+    if cert is None and not _snp_by_hull(supp):
+        fails.append({"kind": "support-not-snp", "w": key})
+    if gp_from_inversions(w).integer_points() != supp:
+        fails.append({"kind": "polytope-points-mismatch", "w": key})
+    vt = vertices_via_tilings(w)
+    vc = frozenset(unpack(m) for m, c in gw.items() if c == 1)
+    vh = cert.vertices() if cert is not None else hull_vertices(supp)
+    if not (vt == vc == vh):
+        fails.append({"kind": "vertex-method-mismatch", "w": key})
+    return {"pairs": 1, "fails": fails}
 
 
 def dominant_chain_by_sets(u, w, target):

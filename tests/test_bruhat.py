@@ -11,6 +11,7 @@ import pytest
 from dualschubert import (
     SaturatedChain,
     all_perms,
+    apply_t,
     bruhat_leq,
     enumerate_chains,
     generating_multiset,
@@ -59,6 +60,35 @@ def test_chain_validation_rejects_non_covers():
     # label does not produce the claimed next node
     with pytest.raises(ValueError):
         SaturatedChain(((1, 2, 3), (2, 1, 3)), ((2, 3),))
+
+
+def test_chain_validation_names_the_step_that_is_no_cover():
+    with pytest.raises(ValueError, match=r"^step 1 is not the cover 123 t_\(1,3\)$"):
+        SaturatedChain(((1, 2, 3), (3, 2, 1)), ((1, 3),))
+
+
+def test_chain_validation_accepts_exactly_the_length_one_steps_s4():
+    for v in all_perms(4):
+        for a in range(1, 4):
+            for b in range(a + 1, 5):
+                step = apply_t(v, a, b)
+                if length(step) == length(v) + 1:
+                    SaturatedChain((v, step), ((a, b),))
+                else:
+                    with pytest.raises(ValueError, match="is not the cover"):
+                        SaturatedChain((v, step), ((a, b),))
+
+
+def test_every_chain_of_s4_builds():
+    perms = list(all_perms(4))
+    built = 0
+    for u in perms:
+        for w in perms:
+            for chain in enumerate_chains(u, w):
+                assert SaturatedChain(chain.nodes, chain.labels) == chain
+                built += 1
+    assert built == sum(chain_count_bruteforce(u, w) for u in perms for w in perms
+                        if bruhat_leq(u, w))
 
 
 def test_chain_validation_rejects_shape_mismatch():

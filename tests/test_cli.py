@@ -368,8 +368,10 @@ def test_verify_malformed_resume_is_usage_error(capsys, tmp_path, token):
          "records units that are not permutations of S_3"),
         ({"132": {"pairs": 4, "fails": ["x"]}}, "lists fails that are not permutations"),
         ({"132": {"pairs": 4, "fails": [321]}}, "lists fails that are not permutations"),
+        ({"123": {"pairs": 999, "fails": ["123", "123"]}},
+         "above their unit, distinct and in (length, v) order"),
     ],
-    ids=["foreign-unit", "foreign-fail", "non-string-fail"],
+    ids=["foreign-unit", "foreign-fail", "non-string-fail", "invented-fails"],
 )
 def test_verify_resume_outside_the_group_is_usage_error(capsys, tmp_path, done, error):
     ckpt = tmp_path / "sweep.json"

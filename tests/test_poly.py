@@ -27,6 +27,7 @@ from dualschubert import (
 )
 from dualschubert.poly import (
     SparsePolynomial,
+    _columns,
     _count_table,
     _field_width,
     _key_table,
@@ -203,6 +204,18 @@ def test_segment_products_match_generic_product():
         assert chain_weight(chain) == generic_segment_product(chain.labels, 3)
     for w in all_perms(5):
         assert global_weight(w) == generic_segment_product(sorted(inversions(w)), 4)
+
+
+def test_columns_transpose_the_unpacked_keys():
+    for n in range(2, 7):
+        unpack = _unpacker(n - 1)
+        for w in all_perms(n):
+            keys = list(_segment_terms(sorted(inversions(w)), n - 1))
+            cols = _columns(keys, n - 1)
+            assert len(cols) == n - 1
+            assert list(zip(*cols)) == list(map(unpack, keys))
+    assert _columns([0], 0) == []
+    assert _columns([], 3) == [[], [], []]
 
 
 def test_segment_terms_match_generic_product():

@@ -502,6 +502,33 @@ def test_is_snp_by_certificate_still_warns_on_negative_coefficients():
         assert is_snp(f)
 
 
+def test_certificate_core_reads_columns_random():
+    rng = random.Random(53)
+    for _ in range(400):
+        pts = random_point_set(rng)
+        order = list(pts)
+        rng.shuffle(order)
+        cols = list(zip(*order))
+        d = len(order[0])
+        z, top = polytope._subset_floors(cols)
+        assert z == [min(sum(p[i] for i in range(d) if m >> i & 1) for p in pts)
+                     for m in range(1 << d)]
+        assert top == max(map(sum, pts))
+        cert = m_convex_certificate(pts)
+        core = polytope._certificate(cols)
+        assert core == (None if cert is None else cert._masks())
+    assert polytope._certificate([]) == [0]  # the one point with no coordinates
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inversion_polytope_floors_are_tight(n):
+    # z_P is the floor vector of its own integer points, the premise of the
+    # paper-theorems unit's comparison by z
+    for w in all_perms(n):
+        gp = gp_from_inversions(w)
+        assert polytope._subset_floors(list(zip(*gp.integer_points())))[0] == gp._masks()
+
+
 def test_greedy_vertices_match_hull_vertices_s5():
     for w in all_perms(5):
         supp = global_weight(w).support()

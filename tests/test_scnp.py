@@ -49,6 +49,7 @@ from oracles import (
     floors_by_tuples,
     ps_mconvex_record_by_counts,
     support_table_by_union,
+    theorems_record_by_listing,
     upper_pattern_records,
 )
 
@@ -126,7 +127,8 @@ def test_count_criterion_matches_chain_supports_s4():
 def packed_floors(target, n):
     """z_T of the point set target on every subset, packed as in `scnp._steps`."""
     width = scnp._steps(n)[1]
-    return sum(f << width * m for m, f in enumerate(_subset_floors(target, n - 1)))
+    z, _ = _subset_floors(list(zip(*target)))
+    return sum(f << width * m for m, f in enumerate(z))
 
 
 class CountingSteps(dict):
@@ -602,6 +604,29 @@ def test_verify_theorems_builds_no_support_table(monkeypatch):
     assert verify_theorems(4).ok()
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_theorems_unit_matches_the_listing_route(n):
+    for w in all_perms(n):
+        key = format_perm(w)
+        assert scnp._unit_theorems(n, key) == theorems_record_by_listing(n, key)
+
+
+def test_theorems_unit_matches_the_listing_route_rank7_sample():
+    for w in random.Random(7).sample(list(all_perms(7)), 40):
+        key = format_perm(w)
+        assert scnp._unit_theorems(7, key) == theorems_record_by_listing(7, key)
+
+
+def test_verify_theorems_lists_no_points(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the paper-theorems unit listed points")
+
+    monkeypatch.setattr(polytope.GeneralizedPermutahedron, "integer_points", refuse)
+    monkeypatch.setattr(polytope, "hull_vertices", refuse)
+    monkeypatch.setattr(polytope, "_snp_by_hull", refuse)
+    assert verify_theorems(5).ok()
+
+
 # Each fault makes one route of the paper-theorems unit wrong about w = 231
 # alone; the sweep must report exactly the records that route feeds.
 W = (2, 3, 1)
@@ -638,8 +663,8 @@ def fault_weight(monkeypatch):
 
 def fault_certificate(monkeypatch):
     supp = ps_support(identity(3), W)
-    wrong_at_w(monkeypatch, polytope, "m_convex_certificate", lambda points: None,
-               about=lambda points: W if points == supp else None)
+    wrong_at_w(monkeypatch, polytope, "_certificate", lambda coords: None,
+               about=lambda coords: W if set(zip(*coords)) == supp else None)
 
 
 def fault_certificate_and_snp(monkeypatch):
@@ -675,6 +700,30 @@ def test_verify_theorems_records_each_wrong_route(fault, kinds, monkeypatch):
     r = verify_theorems(3)
     assert r.complete and not r.ok()
     assert r.counterexamples == [{"kind": kind, "w": "231"} for kind in kinds]
+
+
+def test_theorems_unit_lists_points_only_where_the_certificate_fails(monkeypatch):
+    fault_certificate(monkeypatch)
+    supp, listed = ps_support(identity(3), W), []
+
+    def listing(owner, name):
+        real = getattr(owner, name)
+
+        def route(*args):
+            out = real(*args)
+            listed.append((name, out if name == "integer_points" else args[0]))
+            return out
+
+        monkeypatch.setattr(owner, name, route)
+
+    listing(polytope.GeneralizedPermutahedron, "integer_points")
+    listing(polytope, "hull_vertices")
+    listing(polytope, "_snp_by_hull")
+    r = verify_theorems(3)
+    assert r.counterexamples == [{"kind": "support-not-m-convex", "w": "231"}]
+    assert {name for name, _ in listed} == {"integer_points", "hull_vertices",
+                                            "_snp_by_hull"}
+    assert all(points == supp for _, points in listed)
 
 
 VERIFY = {
@@ -787,6 +836,32 @@ def test_theorems_resume_rejects_fails_that_are_not_its_records():
              "done": {"12": {"pairs": 1, "fails": [1, "x"]}}}
     with pytest.raises(ValueError, match="not records of their units"):
         verify_theorems(2, resume=token)
+
+
+@pytest.mark.parametrize("key, fails", [
+    ("123", ["123", "123"]),
+    ("123", ["132", "132"]),
+    ("132", ["132"]),
+    ("132", ["213"]),
+    ("123", ["321", "132"]),
+], ids=["the-unit-twice", "repeated", "the-unit", "not-above", "out-of-order"])
+def test_mirrored_resume_rejects_fails_the_unit_could_not_write(key, fails):
+    token = {"mode": "ps-mconvex", "n": 3, "elapsed": 0.0,
+             "done": {key: {"pairs": 999, "fails": fails}}}
+    with pytest.raises(ValueError, match=r"above their unit, distinct and in \(length, v\)"):
+        verify_ps_mconvex(3, resume=token)
+
+
+def test_budget_cut_scnp_checkpoint_resumes_to_the_same_report(tmp_path):
+    serial = verify_scnp_pattern(5)
+    path = tmp_path / "sweep.json"
+    partial = verify_scnp_pattern(5, budget=0.2, checkpoint_path=path,
+                                  progress=lambda d, total, key: time.sleep(0.02))
+    token = json.loads(path.read_text())
+    assert not partial.complete and token == partial.resume_token
+    assert any(r["fails"] for r in token["done"].values())
+    resumed = verify_scnp_pattern(5, resume=token)
+    assert without_elapsed(resumed) == without_elapsed(serial)
 
 
 def test_checkpoint_file_round_trip(tmp_path):
