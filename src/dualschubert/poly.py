@@ -16,7 +16,8 @@ the number of steps) gives the interval's weight polynomial.  One integer
 step, `_times_segment`, makes every segment product: of one chain, and of the
 fold `_count_table`, which splits each chain of an interval at its last cover
 and sums chain weights with integer coefficients; those sums are divided by
-r! once, when a polynomial is read out.
+r! once, when a polynomial is read out.  It serves two packings of a
+monomial, since it is told what multiplying by each x_i adds to a key.
 
 The same cover-split fold has a second step, for supports.  Every
 coefficient is positive, so nothing cancels: the support of a sum is the
@@ -28,10 +29,14 @@ order is graded, so a step reads only the length below); each caller keeps
 what it reads: the top element alone, or every polynomial read out.
 
 Inside those products a monomial is one int, not a tuple: the exponent of x_i
-sits in bits [W(i-1), Wi), so multiplying by x_i adds 1 << W(i-1).  In S_n the
-exponent of x_k is at most k(n-k) (`_field_width`), so W is the bit length of
-the largest of those and no field carries into the next.  Keys are read back
-as exponent tuples only where a result leaves the module.
+sits in bits [W(i-1), Wi), so multiplying by x_i adds 1 << W(i-1)
+(`_increments`).  In S_n the exponent of x_k is at most k(n-k)
+(`_field_width`), so W is the bit length of the largest of those and no field
+carries into the next.  Keys are read back as exponent tuples only where a
+result leaves the module.  The paper-theorems unit packs the global weight
+by subsets instead: multiplying by x_i adds `scnp._steps(n)[i, i+1]`, one in
+the field of every subset I of 1..n-1 that holds i, so field I of a key is
+the point's sum over I, and the field of {i} its exponent of x_i.
 """
 
 from __future__ import annotations
@@ -229,50 +234,56 @@ def _field_width(nvars: int) -> int:
     return ((nvars + 1) ** 2 // 4).bit_length()
 
 
+def _reader(shifts, width: int):
+    """The function that reads a packed int back as the tuple of its fields
+    of `width` bits at the given shifts."""
+    mask = (1 << width) - 1
+    return lambda key: tuple([key >> s & mask for s in shifts])
+
+
 def _unpacker(nvars: int, width: int | None = None):
     """The function that reads a packed int back as the tuple of its nvars
     fields, each `width` bits: by default a packed monomial's exponents."""
     width = _field_width(nvars) if width is None else width
-    mask, shifts = (1 << width) - 1, [width * i for i in range(nvars)]
-    return lambda key: tuple(key >> s & mask for s in shifts)
+    return _reader([width * i for i in range(nvars)], width)
 
 
-def _columns(keys, nvars: int) -> list[list[int]]:
-    """Packed monomials read back as exponent columns: per variable, its
-    exponent in each key, in the keys' order.  No tuple is built."""
+def _increments(nvars: int) -> list[int]:
+    """What multiplying by x_i adds to a packed monomial, for i = 1..nvars."""
     width = _field_width(nvars)
-    mask = (1 << width) - 1
-    return [[key >> width * i & mask for key in keys] for i in range(nvars)]
+    return [1 << width * i for i in range(nvars)]
 
 
-def _times_segment(terms: dict, a: int, b: int, out: dict, width: int) -> dict:
-    """Add terms * (x_a + ... + x_{b-1}) into out, packed monomial -> int coefficient."""
-    for i in range(a - 1, b - 1):
-        bit = 1 << width * i
+def _times_segment(terms: dict, a: int, b: int, out: dict, incs) -> dict:
+    """Add terms * (x_a + ... + x_{b-1}) into out, packed monomial -> int
+    coefficient, where multiplying by x_i adds incs[i-1] to a key."""
+    for bit in incs[a - 1:b - 1]:
         for e, c in terms.items():
             out[e + bit] = out.get(e + bit, 0) + c
     return out
 
 
-def _segment_terms(segs, nvars: int) -> dict:
+def _segment_terms(segs, incs) -> dict:
     """The product of the segment polynomials of the labels segs, in order,
-    as packed monomial -> int coefficient.
+    as packed monomial -> int coefficient, multiplying by x_i adding
+    incs[i-1] to a key.
 
-    The labels are a chain's or a permutation's inversions, so every exponent
-    fits its field (`_field_width`).
+    The labels are a chain's or a permutation's inversions, so no field
+    carries in either packing (module docstring): with `_increments` each
+    exponent fits its field (`_field_width`); with the subset steps field I
+    is the monomial's sum over I, at most the number of labels, which
+    `scnp._steps`'s bound covers.
     """
-    width, terms = _field_width(nvars), {0: 1}
+    terms = {0: 1}
     for a, b in segs:
-        terms = _times_segment(terms, a, b, {}, width)
+        terms = _times_segment(terms, a, b, {}, incs)
     return terms
 
 
 def _segment_product(segs, nvars: int) -> SparsePolynomial:
     """`_segment_terms` read back as a polynomial."""
-    unpack = _unpacker(nvars)
-    return SparsePolynomial(
-        nvars, {unpack(e): c for e, c in _segment_terms(segs, nvars).items()}
-    )
+    terms, unpack = _segment_terms(segs, _increments(nvars)), _unpacker(nvars)
+    return SparsePolynomial(nvars, {unpack(e): c for e, c in terms.items()})
 
 
 def segment_poly(seg: PositionPair, nvars: int) -> SparsePolynomial:
@@ -318,12 +329,12 @@ def _count_table(u: Perm, w: Perm) -> Iterator[tuple[Perm, dict]]:
     and no field overflows because no chain puts more than k(n-k) labels on
     x_k.
     """
-    width = _field_width(len(w) - 1)
+    incs = _increments(len(w) - 1)
 
     def step(v: Perm, below) -> dict:
         out: dict = {}
         for prev, (a, b) in below:
-            _times_segment(prev, a, b, out, width)
+            _times_segment(prev, a, b, out, incs)
         return out
 
     return bruhat._interval_fold(u, w, {0: 1}, step)
@@ -340,13 +351,12 @@ def _key_table(u: Perm, w: Perm, covers=None) -> Iterator[tuple[Perm, set]]:
     part of it: the fold then runs over that part alone, each v's down-covers
     being all in it.
     """
-    width = _field_width(len(w) - 1)
+    incs = _increments(len(w) - 1)
 
     def step(v: Perm, below) -> set:
         out: set = set()
         for prev, (a, b) in below:
-            for i in range(a - 1, b - 1):
-                bit = 1 << width * i
+            for bit in incs[a - 1:b - 1]:
                 out.update([e + bit for e in prev])
         return out
 

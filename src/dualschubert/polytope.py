@@ -25,16 +25,18 @@ greedy points (Edmonds, "Submodular functions, matroids, and certain
 polyhedra", 1970).  S lies inside that polytope by the definition of z_S,
 so "S is every integer point" is a count: `_base_size` walks the points of
 the polytope of a supermodular z two coordinates short of the end, and the
-certificate compares that count with |S|.  One core, `_certificate`, checks
-this from S's coordinate columns: it reads z_S and the largest coordinate
-sum off them (`_subset_floors`) and returns z_S, or None.
-`m_convex_certificate` runs it on a point set, and the paper-theorems unit
-on the columns of its packed weight's keys, which it never turns into
-points unless the certificate fails; the ps-mconvex sweep makes the same
-count from the floors it folds and the size of a key set.  The certificate
-alone decides M-convexity; `is_snp` and the paper-theorems sweep try it
-before the simplex, and the exchange-pair loop runs only to name a rejected
-set's witness.  One routine, `_greedy_points`, gives the greedy points, for
+certificate compares that count with |S|.  One core, `_certificate`,
+decides this from z_S by bitmask, the largest coordinate sum and |S|, and
+it has two feeders.  `m_convex_certificate` reads z_S and the largest sum
+off a point set's columns (`_subset_floors`).  The paper-theorems unit
+packs its global weight by subsets (`poly`), so each key already holds its
+point's sum over every subset: z_S is their field-wise min and the largest
+sum the largest full-set field, and no point is decoded unless the
+certificate fails.  The ps-mconvex sweep makes the same count from the
+floors it folds and the size of a key set.  The certificate alone decides
+M-convexity; `is_snp` and the paper-theorems sweep try it before the
+simplex, and the exchange-pair loop runs only to name a rejected set's
+witness.  One routine, `_greedy_points`, gives the greedy points, for
 `GeneralizedPermutahedron.vertices` and that unit alike.
 """
 
@@ -338,21 +340,17 @@ def _subset_floors(coords: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     return z, top
 
 
-def _certificate(coords: Sequence[Sequence[int]]) -> list[int] | None:
-    """z_S by bitmask when the distinct points S, given as their coordinate
-    columns, pass the M-convexity certificate (the module docstring); None
-    when they do not.
+def _certificate(z: Sequence[int], top: int, size: int, n: int) -> bool:
+    """Do `size` distinct points in n coordinates, with floors z by bitmask
+    and largest coordinate sum top, pass the M-convexity certificate (the
+    module docstring)?
 
-    They pass when they share one coordinate sum, which the least and
-    largest sums (`_subset_floors`) tell, and P(z_S) has as many integer
-    points as S (`_base_size`, 0 when z_S is not supermodular).  A point set
-    with no coordinates is one point, the empty tuple.
+    They pass when they share one coordinate sum, which is when the least,
+    z(full), is top, and P(z) has as many integer points as the set
+    (`_base_size`, 0 when z is not supermodular).  A point set with no
+    coordinates is one point, the empty tuple.
     """
-    z, top = _subset_floors(coords)
-    size = len(coords[0]) if coords else 1
-    if top != z[-1] or _base_size(z, len(coords)) != size:
-        return None
-    return z
+    return top == z[-1] and _base_size(z, n) == size
 
 
 def _greedy_points(z: Sequence[int], n: int) -> frozenset[tuple[int, ...]]:
@@ -478,6 +476,14 @@ def gp_from_inversions(w: Perm) -> GeneralizedPermutahedron:
     })
 
 
+def _inversion_floors(w: Perm, steps: Mapping) -> int:
+    """`gp_from_inversions(w)`'s z, packed as steps packs: the sum of
+    steps[a, b] over the inversions (a, b) of w.  Each step holds 1 in the
+    field of every subset I that contains {a, ..., b-1} (`scnp._steps`), so
+    field I counts the inversions whose segment lies in I, which is z_I."""
+    return sum(steps[seg] for seg in inversions(w))
+
+
 # -- SNP and M-convexity ------------------------------------------------------
 
 
@@ -489,13 +495,13 @@ def m_convex_certificate(
     With z(I) = min over the points of sum(p_i, i in I) for every subset I,
     the points pass when they share one coordinate sum, z is supermodular,
     and the polytope P(z) has as many integer points as the set
-    (`_certificate`, on the points' columns).  Why this is exact: P(z) is
-    then an integral base polytope, so its integer points, which are the
-    set, are M-convex; the set is every integer point of P(z), so conv(set)
-    = P(z) and the set has SNP; and the vertices of P(z) are its greedy
-    points.  Conversely an M-convex set is every integer point of its hull
-    P(z) with z supermodular, so it passes: None proves the set is not
-    M-convex.
+    (`_certificate`, fed by `_subset_floors` on the points' columns).  Why
+    this is exact: P(z) is then an integral base polytope, so its integer
+    points, which are the set, are M-convex; the set is every integer point
+    of P(z), so conv(set) = P(z) and the set has SNP; and the vertices of
+    P(z) are its greedy points.  Conversely an M-convex set is every integer
+    point of its hull P(z) with z supermodular, so it passes: None proves
+    the set is not M-convex.
 
     >>> sorted(m_convex_certificate({(2, 0), (1, 1), (0, 2)}).vertices())
     [(0, 2), (2, 0)]
@@ -503,8 +509,8 @@ def m_convex_certificate(
     True
     """
     pts, d = _points(points)
-    z = _certificate(list(zip(*pts)))
-    if z is None:
+    z, top = _subset_floors(list(zip(*pts)))
+    if not _certificate(z, top, len(pts), d):
         return None
     return GeneralizedPermutahedron(d, dict(zip(_mask_subsets(d), z)))
 

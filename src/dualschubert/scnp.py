@@ -18,25 +18,23 @@ marks [u, v] dominant when some cover x < v is dominant and tight:
 floors[x] + step == floors[v].
 
 Supports come from `poly`'s key-set fold, `_key_table`, for `ps_support`
-(hence `is_scnp`) and the ps-mconvex unit, which reads only sizes; no
-paper-theorems process builds a table, nor lists a point unless a
-certificate fails.  Every fold streams and holds two lengths at once
-(`bruhat._interval_fold`), and each caller keeps only what it reads.
+(hence `is_scnp`) and the ps-mconvex unit, which reads only sizes.  Every
+fold streams and holds two lengths at once (`bruhat._interval_fold`).
 
-Label counts and floors are packed ints, one field per subset of 1..n-1,
-2^(n-1) of them.  `_steps` holds each label's packed 0/1 counts and says why
-no field carries or borrows, so a chain's counts are a sum of steps, a
-comparison with z_T is one subtract and mask, and the floor fold's min is a
-few operations on whole ints.
+Label counts, floors and the paper-theorems unit's monomials are packed
+ints, one field per subset of 1..n-1.  `_steps` holds each label's packed
+0/1 counts and says why no field carries or borrows, so a chain's counts
+are a sum of steps, a comparison with z_T is one subtract and mask, and a
+field-wise min (`_least`) is a few operations on whole ints.
 
 The ps-mconvex sweep counts lattice points only where no chain is dominant:
-a dominant chain's support is T and a Minkowski sum of label simplices, so
-T is M-convex (Murota 2003; Postnikov 2009).  For the rest, the dominance
+a dominant chain's support is T and a Minkowski sum of label simplices, so T
+is M-convex (Murota 2003; Postnikov 2009).  For the rest, the dominance
 fold's floors are z_T, and the key-set fold over their down-closure gives
-|T|; neither reads a support point.
-T lies inside P(z_T), so it is every integer point of P(z_T) exactly when
-P(z_T) has |T| of them; with z_T supermodular that is M-convexity
-(`polytope._base_size`, which counts 0 when z_T is not supermodular).
+|T|; neither reads a support point.  T lies inside P(z_T), so it is every
+integer point of P(z_T) exactly when P(z_T) has |T| of them; with z_T
+supermodular that is M-convexity (`polytope._base_size`, which counts 0 when
+z_T is not supermodular).
 
 Conjugation rc(v) = w0 v w0 is an automorphism of Bruhat order that fixes
 w0 (Bjorner-Brenti 2005).  It turns the cover label (a, b) into
@@ -69,14 +67,11 @@ when a sweep starts workers.  Results are merged in a fixed order, so
 reports are deterministic regardless of worker scheduling.
 
 This module imports `poly`, `polytope` and `tiling` only inside the
-functions that use them, so a command loads only what it runs.  The
-scnp-pattern unit needs `perm`, `bruhat` and this module alone; the
-ps-mconvex unit adds `poly` (the key-set fold) and `polytope` (point
-counts), and the paper-theorems unit `poly`, `polytope` and `tiling`;
-`ps_support` and `is_scnp` load `poly`, and `is_scnp` `polytope` too.
-`SWEEPS` names each mode's modules, and `_sweep` imports them before it
-starts any worker: a worker that imported them itself would compile them
-during its first unit.
+functions that use them, so a command loads only what it runs: the
+scnp-pattern unit none of them, the ps-mconvex unit `poly` and `polytope`,
+the paper-theorems unit all three, `ps_support` `poly`, and `is_scnp` `poly`
+and `polytope`.  `_sweep` imports a mode's modules (`SWEEPS`) before it
+starts any worker, which would otherwise compile them in its first unit.
 """
 
 from __future__ import annotations
@@ -94,7 +89,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import bruhat
-from .bruhat import SaturatedChain, greedy_chain, is_greedy
+from .bruhat import SaturatedChain, generating_multiset, greedy_chain, is_greedy
 from .perm import (
     Perm,
     _complement,
@@ -218,9 +213,11 @@ def _steps(n: int) -> tuple[dict, int, int]:
     Subset I, as a bitmask with bit i-1 for coordinate i, has the field bits
     [WI, W(I+1)), where label (a, b) counts 1 when I holds {a, ..., b-1}; a
     chain's counts are the sum of its labels' steps.  W = bit_length(n(n-1)/2)
-    + 1.  Every field here counts the labels of one chain, so it is at most
-    n(n-1)/2 < 2^(W-1): a sum carries into no other field, and (z | G) - c
-    borrows from none and keeps a field's top bit exactly when c <= z there.
+    + 1.  Every field here counts the labels of one chain, or is a monomial's
+    sum over I in a product of at most n(n-1)/2 segments (`poly`), so it is
+    at most n(n-1)/2 < 2^(W-1): a sum carries into no other field, and
+    (z | G) - c borrows from none and keeps a field's top bit exactly when
+    c <= z there.
     """
     width = (n * (n - 1) // 2).bit_length() + 1
     fields = [1 << width * m for m in range(1 << n - 1)]
@@ -230,6 +227,19 @@ def _steps(n: int) -> tuple[dict, int, int]:
             seg = (1 << b - 1) - (1 << a - 1)
             steps[a, b] = sum(f for m, f in enumerate(fields) if m & seg == seg)
     return steps, width, sum(fields) << width - 1
+
+
+@lru_cache(maxsize=None)
+def _least(n: int):
+    """The field-wise min of two ints packed as in `_steps`: ge keeps the top
+    bit of each field where z >= t, ge - (ge >> W-1) sets the bits below
+    those top bits, and there z takes t's value."""
+    _, width, high = _steps(n)
+
+    def least(z, t):
+        ge = ((z | high) - t) & high
+        return z ^ (z ^ t) & (ge - (ge >> width - 1))
+    return least
 
 
 def _scnp_search(u: Perm, w: Perm, z: int) -> ScnpVerdict:
@@ -287,9 +297,7 @@ def _dominance_fold(u: Perm) -> tuple[dict, dict, list[Perm]]:
     label simplices.  A linear form's minimum over a union is the least of
     the minima, over a Minkowski sum the sum of the minima, and the minimum
     of sum(t_i, i in I) over a label simplex is that label's 0/1 step: z_T
-    is a min-plus fold over last covers.  The min is field-wise: ge keeps the
-    top bit of each field where z >= t, ge - (ge >> W-1) sets the bits below
-    those top bits, and there z takes t's value.
+    is a min-plus fold over last covers, its min field-wise (`_least`).
 
     So a chain's count on I is z_C(I) for its support C, and floors[x] is
     the least count of any chain u -> x.  A chain is dominant exactly when
@@ -302,13 +310,9 @@ def _dominance_fold(u: Perm) -> tuple[dict, dict, list[Perm]]:
     plus a tight cover is dominant.  No field carries (`_steps`), so int
     equality is field-wise equality.
     """
-    steps, width, high = _steps(len(u))
+    steps, least = _steps(len(u))[0], _least(len(u))
     w = longest_element(len(u))
     covers = bruhat.interval_covers(u, w)
-
-    def least(z, t):
-        ge = ((z | high) - t) & high
-        return z ^ (z ^ t) & (ge - (ge >> width - 1))
 
     def step(v, below):
         sums = [(z + steps[lab], dominant) for (z, dominant), lab in below]
@@ -346,10 +350,9 @@ def _theorem_floors(n: int) -> tuple[dict, frozenset]:
 
 @lru_cache(maxsize=1 << 16)
 def _floors_base_size(n: int, floors: int) -> int:
-    """`_base_size` of z_T on the subsets of 1..n-1, packed as
-    `_dominance_fold` packs them: each distinct vector is read back and
-    counted once per process.  The key holds the rank, since the packing
-    depends on it and a process may sweep several ranks; the bound is
+    """`_base_size` of z_T, packed as `_dominance_fold` packs it: each
+    distinct vector is read back and counted once per process.  The key
+    holds the rank, on which the packing depends; the bound is
     `bruhat._covers`'s."""
     from .poly import _unpacker
     from .polytope import _base_size
@@ -392,58 +395,57 @@ def _unit_scnp_pattern(n: int, key: str) -> dict:
 def _unit_theorems(n: int, key: str) -> dict:
     """The paper's claims for one w, each checked on its own route.
 
-    The global weight is the packed product of w's inversion segments
-    (`poly._segment_terms`); its keys S, read as exponent columns, pass the
-    M-convexity certificate with floors z_S (`polytope._certificate`) or
-    fail it.  S must be the support T of [id, w]: on `_theorem_floors`, no
-    dominant chain is a mismatch, as the paper's greedy chain carries T;
+    Multiplying w's inversion segments with x_i as `_steps(n)[i, i+1]`
+    (`poly._segment_terms`) makes field I of each key of the global weight
+    its point's sum over I, at most l(w) as `_steps` requires, and the field
+    of {i} its exponent of x_i.  So the keys S give z_S as one field-wise
+    min (`_least`), packed as `_theorem_floors` packs z_T, and their largest
+    sum as the largest full-set field: the M-convexity certificate
+    (`polytope._certificate`) reads no point.  S must be the support T of
+    [id, w]: no dominant chain is a mismatch, as the greedy chain carries T;
     with one, T is every lattice point of P(z_T), and a passing certificate
     makes S every lattice point of P(z_S), so S = T iff z_S = z_T.  The
-    greedy chain from the identity to w must pass `is_greedy` and carry the
-    global weight; S must be M-convex, SNP and every integer point of the
-    inversion polytope P(z_P); tilings, coefficient-1 keys and the hull must
-    agree on vertices.  Points are listed only when the certificate fails.
-    Otherwise the hull's vertices are z_S's greedy points, and S is P(z_P)'s
-    points iff z_S = z_P: each z is the floor vector of its polytope's
-    integer points, z_P by `polytope.gp_from_inversions` and z_S as S is
-    every integer point of P(z_S), and such z's with the same points agree.
+    greedy chain carries the global weight iff its labels are w's
+    inversions: segment polynomials are linear, hence irreducible, and no
+    two are associates (unique factorization in Z[x]).  Points are decoded,
+    from the singleton fields, for the coefficient-1 keys, and for all of S
+    only if the certificate fails.  Otherwise the hull's vertices are z_S's
+    greedy points, and S is the inversion polytope's points iff z_S = z_P, a
+    sum of steps (`polytope._inversion_floors`): each z is the floor vector
+    of its polytope's integer points, z_P by `gp_from_inversions` and z_S as
+    S is all of P(z_S)'s, and such z's with the same points agree.
     """
-    from .poly import _columns, _segment_terms, _unpacker
-    from .polytope import (_certificate, _greedy_points, _snp_by_hull,
+    from .poly import _reader, _segment_terms, _unpacker
+    from .polytope import (_certificate, _greedy_points, _inversion_floors, _snp_by_hull,
                            gp_from_inversions, hull_vertices)
     from .tiling import vertices_via_tilings
 
-    w = parse_perm(key)
-    fails: list[dict] = []
-    gw = _segment_terms(sorted(inversions(w)), n - 1)
-    z = _certificate(_columns(gw, n - 1))  # also proves SNP and gives the vertices
-    floors, pending = _theorem_floors(n)
-    if w in pending or z is not None and _pack(z, n) != floors[w]:
-        fails.append({"kind": "support-mismatch", "w": key})
-    e = identity(n)
-    g = greedy_chain(e, w)
-    if not is_greedy(g, e, w):
-        fails.append({"kind": "greedy-chain-not-greedy", "w": key})
-    if _segment_terms(g.labels, n - 1) != gw:
-        fails.append({"kind": "greedy-weight-mismatch", "w": key})
-    unpack = _unpacker(n - 1)
-    if z is None:
-        supp = frozenset(map(unpack, gw))
-        fails.append({"kind": "support-not-m-convex", "w": key})
-        if not _snp_by_hull(supp):
-            fails.append({"kind": "support-not-snp", "w": key})
-        same_points = gp_from_inversions(w).integer_points() == supp
-        vh = hull_vertices(supp)
+    w, (steps, width, _) = parse_perm(key), _steps(n)
+    inv = sorted(inversions(w))
+    gw = _segment_terms(inv, [steps[i, i + 1] for i in range(1, n)])
+    zs = reduce(_least(n), gw)
+    z = _unpacker(1 << n - 1, width)(zs)
+    passes = _certificate(z, max(gw) >> width * (len(z) - 1), len(gw), n - 1)
+    point = _reader([width << i for i in range(n - 1)], width)  # the singletons
+    if passes:  # which also proves SNP
+        snp, vh = True, _greedy_points(z, n - 1)
+        same_points = _inversion_floors(w, steps) == zs
     else:
-        same_points = gp_from_inversions(w)._masks() == z
-        vh = _greedy_points(z, n - 1)
-    if not same_points:
-        fails.append({"kind": "polytope-points-mismatch", "w": key})
-    vt = vertices_via_tilings(w)
-    vc = frozenset(unpack(m) for m, c in gw.items() if c == 1)
-    if not (vt == vc == vh):
-        fails.append({"kind": "vertex-method-mismatch", "w": key})
-    return {"pairs": 1, "fails": fails}
+        supp = frozenset(map(point, gw))
+        snp, vh = _snp_by_hull(supp), hull_vertices(supp)
+        same_points = gp_from_inversions(w).integer_points() == supp
+    (floors, pending), g = _theorem_floors(n), greedy_chain(identity(n), w)
+    vc = frozenset(point(m) for m, c in gw.items() if c == 1)
+    wrong = {  # in the order of the records
+        "support-mismatch": w in pending or passes and zs != floors[w],
+        "greedy-chain-not-greedy": not is_greedy(g, g.start, w),
+        "greedy-weight-mismatch": sorted(generating_multiset(g).elements()) != inv,
+        "support-not-m-convex": not passes,
+        "support-not-snp": not snp,
+        "polytope-points-mismatch": not same_points,
+        "vertex-method-mismatch": not vertices_via_tilings(w) == vc == vh,
+    }
+    return {"pairs": 1, "fails": [{"kind": k, "w": key} for k, bad in wrong.items() if bad]}
 
 
 def _merge_ps_mconvex(n: int, fails: dict[str, list]) -> tuple[list, list]:
@@ -486,9 +488,8 @@ def _merge_theorems(n: int, fails: dict[str, list]) -> tuple[list, list]:
 # takes every unit's fails in key order and returns the report's
 # counterexamples and scnp_failures.  modules are those the unit imports
 # beyond this one's, loaded before the sweep forks.  A mirrored sweep's fails
-# are permutation keys, and unit rc(u)'s record is `_mirror` of unit u's.
-# paper-theorems is not mirrored: its unit cross-checks independent routes
-# for one w.
+# are permutation keys, and unit rc(u)'s record is `_mirror` of unit u's;
+# the paper-theorems unit cross-checks independent routes for one w.
 SWEEPS: dict[str, tuple[Callable[[int, str], dict], Callable[[int, dict], tuple],
                         tuple[str, ...], bool]] = {
     "ps-mconvex": (_unit_ps_mconvex, _merge_ps_mconvex, ("poly", "polytope"), True),
@@ -497,12 +498,10 @@ SWEEPS: dict[str, tuple[Callable[[int, str], dict], Callable[[int, dict], tuple]
                        False),
 }
 
-# Below this rank every unit runs in this process, whatever `jobs` says.
-# There two workers cost more than they save, in every mode: on a shared
-# 2-core machine, importing `multiprocessing` and starting two workers took
-# 12-19 ms, and two forked copies of a CPU loop ran only 0.8-1.4 times as
-# fast as one; a rank-5 ps-mconvex pass ran a quarter faster in one
-# process (`BENCH_onepool.json`).
+# Below this rank every unit runs in this process, whatever `jobs` says: on
+# a shared 2-core machine, starting two workers took 12-19 ms, two forked CPU
+# loops ran only 0.8-1.4 times as fast as one, and a rank-5 ps-mconvex pass
+# ran a quarter faster in one process (`BENCH_onepool.json`).
 _POOL_RANK = 6
 
 
@@ -561,7 +560,9 @@ def _read_token(
     too, as its unit writes them: each above the unit and not the unit, in
     strictly increasing (length, v) order, so no two alike.  In a sweep that
     is not mirrored every fail is a record of its own unit, as
-    `_unit_theorems` writes them: a string kind and w, the unit's key.
+    `_unit_theorems` writes them: a string kind and w, the unit's key.  A
+    paper-theorems unit counts 1 pair, a mirrored unit at least 1 + its
+    fails, as u and each fail lie in [u, w0]; an exact count needs a walk.
     """
     if token is None:
         return {}, 0.0
@@ -605,6 +606,10 @@ def _read_token(
         and f["w"] == key for key, r in done.items() for f in r["fails"]
     ):
         raise ValueError("resume token lists fails that are not records of their units")
+    if not all(r["pairs"] > len(r["fails"]) if mirrored else r["pairs"] == 1
+               for r in done.values()):
+        raise ValueError("resume token counts pairs its units could not: 1 per"
+                         " paper-theorems unit, else at least 1 + the unit's fails")
     return dict(done), float(elapsed)
 
 
@@ -640,10 +645,8 @@ def _sweep(
     """Run the units of SWEEPS[mode] over S_n and merge them into a report.
 
     A mirrored sweep runs unit u only when u <= rc(u) as tuples, and writes
-    unit rc(u)'s record, with its own progress call, right after u's.  That
-    is exact: rc is a Bruhat automorphism fixing w0 that reverses every
-    support point, which keeps M-convexity and dominant chains, so unit
-    rc(u) has u's pair count and u's fails conjugated, in (length, v) order
+    unit rc(u)'s record, with its own progress call, right after u's: it
+    has u's pair count and u's fails conjugated, in (length, v) order
     (module docstring).  rc is an involution, so a resumed pair with either
     half recorded gets the other half up front, with no progress call.
 
@@ -655,12 +658,9 @@ def _sweep(
     then when a unit finishes `_CHECKPOINT_EVERY_S` or more after the last
     write, and on every way out: complete, budget spent, or any exception,
     including KeyboardInterrupt, which a failed final write does not hide.
-    Each write goes to a temporary file, is fsynced, and is renamed over the
-    checkpoint: the rename keeps the previous checkpoint whole if this
-    process crashes mid-write, and the fsync keeps the renamed file's text
-    if the machine crashes.  So only a hard kill (SIGKILL, out of memory)
-    loses finished units: those that finished less than
-    `_CHECKPOINT_EVERY_S` after the last write.
+    Each write survives a crash (`_write_checkpoint`), so only a hard kill
+    (SIGKILL, out of memory) loses finished units: those that finished less
+    than `_CHECKPOINT_EVERY_S` after the last write.
     Once the budget has run out no further result is awaited and the report
     is partial, with a resume token; an in-process run first finishes the
     unit it is running.  A worker that dies raises RuntimeError naming its

@@ -40,6 +40,7 @@ from dualschubert.perm import (
 from dualschubert.poly import (
     SparsePolynomial,
     _count_table,
+    _increments,
     _segment_terms,
     _unpacker,
     chain_weight,
@@ -430,7 +431,7 @@ def theorems_record_by_listing(n, key):
     """
     w = parse_perm(key)
     fails: list[dict] = []
-    gw = _segment_terms(sorted(inversions(w)), n - 1)
+    gw = _segment_terms(sorted(inversions(w)), _increments(n - 1))
     unpack = _unpacker(n - 1)
     supp = frozenset(map(unpack, gw))
     cert = m_convex_certificate(supp)  # also proves SNP and gives the vertices
@@ -441,7 +442,7 @@ def theorems_record_by_listing(n, key):
     g = greedy_chain(e, w)
     if not is_greedy(g, e, w):
         fails.append({"kind": "greedy-chain-not-greedy", "w": key})
-    if _segment_terms(g.labels, n - 1) != gw:
+    if _segment_terms(g.labels, _increments(n - 1)) != gw:
         fails.append({"kind": "greedy-weight-mismatch", "w": key})
     if cert is None:
         fails.append({"kind": "support-not-m-convex", "w": key})

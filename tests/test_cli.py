@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -382,6 +383,42 @@ def test_verify_resume_outside_the_group_is_usage_error(capsys, tmp_path, done, 
     )
     assert rc == 2
     assert err.startswith("error: resume token") and error in err
+
+
+@pytest.mark.parametrize(
+    "mode, n, done",
+    [("paper-theorems", 2, {"12": {"pairs": 999, "fails": []}}),
+     ("paper-theorems", 2, {"12": {"pairs": 0, "fails": []}}),
+     ("ps-mconvex", 3, {"123": {"pairs": 1, "fails": ["132"]}}),
+     ("scnp-pattern", 3, {"123": {"pairs": 0, "fails": []}})],
+    ids=["theorems-999", "theorems-0", "mirrored-fewer-than-fails", "mirrored-0"],
+)
+def test_verify_resume_with_impossible_pair_counts_is_usage_error(capsys, tmp_path,
+                                                                  mode, n, done):
+    ckpt = tmp_path / "sweep.json"
+    ckpt.write_text(json.dumps({"mode": mode, "n": n, "elapsed": 0.0, "done": done}))
+    rc, _, err = run(capsys, "verify", "--mode", mode, "--n", str(n), "--resume", str(ckpt))
+    assert rc == 2
+    assert err.startswith("error: resume token counts pairs its units could not")
+
+
+def load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode", ["ps-mconvex", "scnp-pattern", "paper-theorems"])
+def test_rank5_sweeps_pass_the_benchmark_output_checks(capsys, tmp_path, mode):
+    # the benchmark's own checks and recorded values, read where they live
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    checks = load_by_path("perfbench_checks", bench / "checks.py")
+    expected = json.loads((bench / "expected.json").read_text())
+    ckpt = tmp_path / "sweep.json"
+    rc, out, _ = run(capsys, "verify", "--mode", mode, "--n", "5", "--jobs", "1",
+                     "--checkpoint", str(ckpt), "--json")
+    assert checks.sweep_failed_units(mode, rc, out, ckpt.read_text(), expected) == (0, [])
 
 
 @pytest.mark.parametrize(

@@ -25,12 +25,14 @@ from dualschubert import (
     ps_support,
     segment_poly,
 )
+from dualschubert import scnp
 from dualschubert.poly import (
     SparsePolynomial,
-    _columns,
     _count_table,
     _field_width,
+    _increments,
     _key_table,
+    _reader,
     _segment_terms,
     _unpacker,
     grevlex_key,
@@ -206,22 +208,33 @@ def test_segment_products_match_generic_product():
         assert global_weight(w) == generic_segment_product(sorted(inversions(w)), 4)
 
 
-def test_columns_transpose_the_unpacked_keys():
-    for n in range(2, 7):
+def test_subset_packed_keys_decode_to_the_monomials():
+    # with x_i multiplied in as the subset step of (i, i+1), field I of a key
+    # is its monomial's sum over I, and the singleton fields are exponents
+    for n in range(1, 7):
+        steps, width, _ = scnp._steps(n)
+        fields = _unpacker(1 << n - 1, width)
+        point = _reader([width << i for i in range(n - 1)], width)
         unpack = _unpacker(n - 1)
         for w in all_perms(n):
-            keys = list(_segment_terms(sorted(inversions(w)), n - 1))
-            cols = _columns(keys, n - 1)
-            assert len(cols) == n - 1
-            assert list(zip(*cols)) == list(map(unpack, keys))
-    assert _columns([0], 0) == []
-    assert _columns([], 3) == [[], [], []]
+            segs = sorted(inversions(w))
+            packed = _segment_terms(segs, [steps[i, i + 1] for i in range(1, n)])
+            terms = _segment_terms(segs, _increments(n - 1))
+            assert {point(m): c for m, c in packed.items()} == {
+                unpack(m): c for m, c in terms.items()}
+            assert len(packed) == len(terms)
+            if n == 6:  # every field of every key below rank 6, where it is quick
+                continue
+            for m in packed:
+                t = point(m)
+                assert fields(m) == tuple(sum(x for i, x in enumerate(t) if mask >> i & 1)
+                                          for mask in range(1 << n - 1))
 
 
 def test_segment_terms_match_generic_product():
     def read_back(segs, nvars):
         unpack = _unpacker(nvars)
-        terms = {unpack(m): c for m, c in _segment_terms(segs, nvars).items()}
+        terms = {unpack(m): c for m, c in _segment_terms(segs, _increments(nvars)).items()}
         return SparsePolynomial(nvars, terms)
 
     for chain in enumerate_chains(identity(4), longest_element(4)):
@@ -229,7 +242,7 @@ def test_segment_terms_match_generic_product():
     for w in all_perms(5):
         segs = sorted(inversions(w))
         assert read_back(segs, 4) == generic_segment_product(segs, 4)
-    assert _segment_terms([], 2) == {0: 1}
+    assert _segment_terms([], _increments(2)) == {0: 1}
 
 
 def test_chain_weight_fixtures():

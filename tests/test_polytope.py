@@ -515,9 +515,12 @@ def test_certificate_core_reads_columns_random():
                      for m in range(1 << d)]
         assert top == max(map(sum, pts))
         cert = m_convex_certificate(pts)
-        core = polytope._certificate(cols)
-        assert core == (None if cert is None else cert._masks())
-    assert polytope._certificate([]) == [0]  # the one point with no coordinates
+        core = polytope._certificate(z, top, len(pts), d)
+        assert core == (cert is not None)
+        assert cert is None or cert._masks() == z
+    # the one point with no coordinates
+    assert polytope._subset_floors([]) == ([0], 0)
+    assert polytope._certificate([0], 0, 1, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -527,6 +530,15 @@ def test_inversion_polytope_floors_are_tight(n):
     for w in all_perms(n):
         gp = gp_from_inversions(w)
         assert polytope._subset_floors(list(zip(*gp.integer_points())))[0] == gp._masks()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inversion_floors_are_the_packed_inversion_polytope(n):
+    # z_P as a sum of subset steps, as the paper-theorems unit compares it
+    steps = scnp._steps(n)[0]
+    for w in all_perms(n):
+        assert (polytope._inversion_floors(w, steps)
+                == scnp._pack(gp_from_inversions(w)._masks(), n))
 
 
 def test_greedy_vertices_match_hull_vertices_s5():

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
@@ -24,6 +25,7 @@ from dualschubert import (
     format_perm,
     greedy_chain,
     identity,
+    inversions,
     is_scnp,
     is_snp,
     length,
@@ -40,7 +42,7 @@ from dualschubert import (
 from dualschubert import bruhat, poly, polytope, scnp, tiling
 from dualschubert.scnp import LOWER_PATTERN, UPPER_PATTERN
 from dualschubert.perm import _complement
-from dualschubert.poly import _segment_terms, _unpacker
+from dualschubert.poly import _increments, _segment_terms, _unpacker
 from dualschubert.polytope import _subset_floors
 from oracles import (
     add_segment,
@@ -604,6 +606,19 @@ def test_verify_theorems_builds_no_support_table(monkeypatch):
     assert verify_theorems(4).ok()
 
 
+def test_label_multisets_agree_exactly_when_segment_products_do_s4():
+    # the premise of the unit's weight check, on every saturated chain of S4
+    # from the identity and every inversion set: distinct segments are
+    # distinct linear, hence irreducible, factors
+    incs = _increments(3)
+    words = [c.labels for w in all_perms(4) for c in enumerate_chains(identity(4), w)]
+    words += [sorted(inversions(w)) for w in all_perms(4)]
+    pairs = {(tuple(sorted(ls)), frozenset(_segment_terms(ls, incs).items()))
+             for ls in words}
+    assert len(pairs) == len({m for m, _ in pairs}) == len({p for _, p in pairs})
+    assert len(pairs) > 24
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_theorems_unit_matches_the_listing_route(n):
     for w in all_perms(n):
@@ -655,16 +670,15 @@ def fault_greedy(monkeypatch):
 
 
 def fault_weight(monkeypatch):
-    labels = greedy_chain(identity(3), W).labels
-    wrong_at_w(monkeypatch, poly, "_segment_terms",
-               lambda segs, nvars: {m: 2 * c for m, c in _segment_terms(segs, nvars).items()},
-               about=lambda segs, nvars: W if tuple(segs) == labels else None)
+    # the greedy chain's labels, read as a multiset, gain a second copy
+    wrong_at_w(monkeypatch, scnp, "generating_multiset",
+               lambda chain: Counter(chain.labels * 2), about=lambda chain: chain.end)
 
 
 def fault_certificate(monkeypatch):
-    supp = ps_support(identity(3), W)
-    wrong_at_w(monkeypatch, polytope, "_certificate", lambda coords: None,
-               about=lambda coords: W if set(zip(*coords)) == supp else None)
+    z = _subset_floors(list(zip(*ps_support(identity(3), W))))[0]
+    wrong_at_w(monkeypatch, polytope, "_certificate", lambda *args: False,
+               about=lambda floors, top, size, d: W if list(floors) == z else None)
 
 
 def fault_certificate_and_snp(monkeypatch):
@@ -673,6 +687,11 @@ def fault_certificate_and_snp(monkeypatch):
 
 
 def fault_inversion_polytope(monkeypatch):
+    # both forms of the inversion polytope: its packed z, which the unit
+    # compares while the certificate passes, and the polytope itself
+    wrong_at_w(monkeypatch, polytope, "_inversion_floors",
+               lambda w, steps: polytope._inversion_floors((3, 1, 2), steps),
+               about=lambda w, steps: w)
     wrong_at_w(monkeypatch, polytope, "gp_from_inversions",
                lambda w: polytope.gp_from_inversions((3, 1, 2)))
 
@@ -700,6 +719,20 @@ def test_verify_theorems_records_each_wrong_route(fault, kinds, monkeypatch):
     r = verify_theorems(3)
     assert r.complete and not r.ok()
     assert r.counterexamples == [{"kind": kind, "w": "231"} for kind in kinds]
+
+
+def test_theorems_unit_feeds_the_certificate_its_largest_sum(monkeypatch):
+    # keys with two coordinate sums, as many as P(z_S) has points: only the
+    # one-sum test, fed the largest full-set field, rejects them
+    steps = scnp._steps(3)[0]
+    points = [(0, 2), (2, 0), (2, 1)]
+    keys = {a * steps[1, 2] + b * steps[2, 3]: 1 for a, b in points}
+    wrong_at_w(monkeypatch, poly, "_segment_terms", lambda segs, incs: keys,
+               about=lambda segs, incs: W if list(segs) == sorted(inversions(W)) else None)
+    assert polytope._base_size([0, 0, 0, 2], 2) == len(points)
+    kinds = ["support-not-m-convex", "support-not-snp", "polytope-points-mismatch",
+             "vertex-method-mismatch"]
+    assert scnp._unit_theorems(3, "231")["fails"] == [{"kind": k, "w": "231"} for k in kinds]
 
 
 def test_theorems_unit_lists_points_only_where_the_certificate_fails(monkeypatch):
@@ -836,6 +869,30 @@ def test_theorems_resume_rejects_fails_that_are_not_its_records():
              "done": {"12": {"pairs": 1, "fails": [1, "x"]}}}
     with pytest.raises(ValueError, match="not records of their units"):
         verify_theorems(2, resume=token)
+
+
+@pytest.mark.parametrize("mode, n, done", [
+    ("paper-theorems", 2, {"12": {"pairs": 999, "fails": []}}),
+    ("paper-theorems", 3, {"231": {"pairs": 2, "fails": []}}),
+    ("ps-mconvex", 3, {"123": {"pairs": 2, "fails": ["132", "213"]}}),
+    ("scnp-pattern", 4, {"1234": {"pairs": 0, "fails": []}}),
+], ids=["theorems-999", "theorems-2", "mirrored-fewer-than-fails", "mirrored-0"])
+def test_resume_rejects_pair_counts_the_unit_could_not_write(mode, n, done):
+    # a paper-theorems unit counts 1 pair; a mirrored unit counts u and each
+    # fail, all in [u, w0], so at least 1 + its fails
+    token = {"mode": mode, "n": n, "elapsed": 0.0, "done": done}
+    with pytest.raises(ValueError, match="counts pairs its units could not"):
+        VERIFY[mode](n, resume=token)
+
+
+def test_resume_accepts_the_least_pair_counts_a_unit_could_write():
+    token = {"mode": "ps-mconvex", "n": 3, "elapsed": 0.0,
+             "done": {"123": {"pairs": 3, "fails": ["132", "213"]}}}
+    assert verify_ps_mconvex(3, resume=token).counterexamples == [
+        {"kind": "support-not-m-convex", "u": "123", "w": w} for w in ("132", "213")]
+    token = {"mode": "paper-theorems", "n": 2, "elapsed": 0.0,
+             "done": {"12": {"pairs": 1, "fails": []}}}
+    assert verify_theorems(2, resume=token).checked_pairs == 2
 
 
 @pytest.mark.parametrize("key, fails", [
